@@ -6,12 +6,14 @@ JSON output is deterministic (sorted keys)."""
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from fractions import Fraction
 
 import click
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
@@ -57,6 +59,7 @@ DESCRIPTOR_SCHEMA = {
     "required": ["p", "field", "a"],
     "additionalProperties": False,
 }
+_DESCRIPTOR_VALIDATOR = validator_for(DESCRIPTOR_SCHEMA)(DESCRIPTOR_SCHEMA)
 
 
 class DescriptorError(ValueError):
@@ -74,10 +77,9 @@ def load_descriptor(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, DESCRIPTOR_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise DescriptorError(f"descriptor schema: {exc.message}") from exc
+    error = best_match(_DESCRIPTOR_VALIDATOR.iter_errors(data))
+    if error is not None:
+        raise DescriptorError(f"descriptor schema: {error.message}")
     return data
 
 
@@ -153,6 +155,18 @@ def _fail(message, as_json=False):
     sys.exit(EXIT_ERROR)
 
 
+def _error_boundary(command):
+    """Report every failure of a subcommand as `error: <message>` with
+    exit code 1; AssertionError covers the internal consistency checks."""
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ValueError, ArithmeticError, AssertionError) as exc:
+            _fail(str(exc) or type(exc).__name__, kwargs.get("as_json"))
+    return wrapper
+
+
 @click.group()
 def main():
     """Z_p-module structure of E_0(K) for additive reduction."""
@@ -163,18 +177,16 @@ def main():
 @click.option("--precision", type=int, default=None,
               help="Working precision (powers of m_K).")
 @click.option("--json", "as_json", is_flag=True, help="JSON output only.")
+@_error_boundary
 def classify(input, precision, as_json):
     """Classify E_0(K) for the descriptor in INPUT (path or '-')."""
-    try:
-        desc = load_descriptor(_read_input(input))
-        field = build_field(desc, precision)
-        E = build_curve(field, desc)
-        rt = reduction_type(E)
-        if rt.tag != "additive":
-            _fail(f"reduction type: {rt.tag} (additive required)", as_json)
-        report = classify_general(E)
-    except (DescriptorError, ValueError, ArithmeticError) as exc:
-        _fail(str(exc), as_json)
+    desc = load_descriptor(_read_input(input))
+    field = build_field(desc, precision)
+    E = build_curve(field, desc)
+    rt = reduction_type(E)
+    if rt.tag != "additive":
+        _fail(f"reduction type: {rt.tag} (additive required)", as_json)
+    report = classify_general(E)
     tag = "certified" if report.certified else "exploratory"
     _emit(report.to_json(),
           [f"{report.structure}, method: {report.method}, {tag}"],
@@ -186,16 +198,14 @@ def classify(input, precision, as_json):
 @click.argument("input", default="-")
 @click.option("--precision", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
+@_error_boundary
 def normalize(input, precision, as_json):
     """Translate the singular point to the origin and kill the tangent
     cross term; print the transformed model."""
-    try:
-        desc = load_descriptor(_read_input(input))
-        field = build_field(desc, precision)
-        E = build_curve(field, desc)
-        E2, tr = normalize_additive(E)
-    except (DescriptorError, ValueError, ArithmeticError) as exc:
-        _fail(str(exc), as_json)
+    desc = load_descriptor(_read_input(input))
+    field = build_field(desc, precision)
+    E = build_curve(field, desc)
+    E2, tr = normalize_additive(E)
     payload = {"curve": E2.to_json(), "transform": tr.to_json()}
     avals = [list(ai.coeffs) for ai in E2.a]
     lines = [f"normalized a-invariants (coefficient vectors): {avals}",
@@ -262,23 +272,21 @@ def _generic_g_line(p: int) -> str:
 @click.option("--precision", type=int, default=4,
               help="Precision (powers of m_K) for torsion checks.")
 @click.option("--json", "as_json", is_flag=True)
+@_error_boundary
 def verify_point(input, precision, as_json):
     """Check each descriptor point: on-curve, E_0 membership, filtration
     level, and torsion order."""
-    try:
-        desc = load_descriptor(_read_input(input))
-        field = build_field(desc, None)
-        E = build_curve(field, desc)
-        if not desc.get("points"):
-            _fail("descriptor has no points to verify", as_json)
-        report = classify_general(E)
-        tr = None
-        if not E.is_normalized():
-            E, tr = normalize_additive(E)
-        results = [_verify_one(E, report, pt, precision, tr)
-                   for pt in desc["points"]]
-    except (DescriptorError, ValueError, ArithmeticError) as exc:
-        _fail(str(exc), as_json)
+    desc = load_descriptor(_read_input(input))
+    field = build_field(desc, None)
+    E = build_curve(field, desc)
+    if not desc.get("points"):
+        _fail("descriptor has no points to verify", as_json)
+    report = classify_general(E)
+    tr = None
+    if not E.is_normalized():
+        E, tr = normalize_additive(E)
+    results = [_verify_one(E, report, pt, precision, tr)
+               for pt in desc["points"]]
     _emit({"points": results}, [r["text"] for r in results], as_json)
     sys.exit(EXIT_OK if report.certified else EXIT_EXPLORATORY)
 
@@ -335,22 +343,20 @@ def _verify_one(E, report, raw, precision, tr=None):
               help="Quotient level M for the finite model.")
 @click.option("--precision", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
+@_error_boundary
 def oracle(input, level, precision, as_json):
     """Compare the certified classification against the brute-force
     finite-quotient oracle at level M."""
-    try:
-        desc = load_descriptor(_read_input(input))
-        field = build_field(desc, precision)
-        E = build_curve(field, desc)
-        report = classify_general(E)
-        if not report.certified:
-            _fail("oracle comparison requires a certified classification",
-                  as_json)
-        if report.transform is not None and not report.transform.is_identity:
-            E, _ = normalize_additive(E)
-        verdict = compare(E, report, level)
-    except (DescriptorError, ValueError, ArithmeticError) as exc:
-        _fail(str(exc), as_json)
+    desc = load_descriptor(_read_input(input))
+    field = build_field(desc, precision)
+    E = build_curve(field, desc)
+    report = classify_general(E)
+    if not report.certified:
+        _fail("oracle comparison requires a certified classification",
+              as_json)
+    if report.transform is not None and not report.transform.is_identity:
+        E, _ = normalize_additive(E)
+    verdict = compare(E, report, level)
     lines = [f"order {verdict['order']}, p_rank {verdict['p_rank']}, "
              f"kernel {verdict['kernel_size']}: {verdict['verdict']}"]
     _emit(verdict, lines, as_json)

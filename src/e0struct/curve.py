@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .local_field import LocalField, OElement, KElement, PrecisionExhausted
-from .residue_field import FFElement
+from .residue_field import FFElement, ff_trace, frobenius_inverse
 
 
 class NotInE0(ValueError):
@@ -173,46 +173,51 @@ class ReductionType:
 
 
 def reduction_type(E: WeierstrassCurve) -> ReductionType:
-    """Classify the special fiber of THIS model (no minimality search)."""
+    """Classify the special fiber of THIS model (no minimality search).
+
+    The singular point and its tangent directions are closed forms in the
+    reduced coefficients (Silverman, Advanced Topics IV.9; Cremona,
+    Algorithms for Modular Elliptic Curves 3.2): the fiber is nodal iff
+    c4bar != 0, and at (x0, y0) the tangent directions are the roots of
+    z^2 + a1 z - (a2 + 3 x0), of discriminant b2 + 12 x0 for odd p."""
     vd = E.disc.valuation_or_none()
     if vd == 0:
         return ReductionType("good")
     k = E.field.residue
+    p = k.p
     a1, a2, a3, a4, a6 = E.reduced_coeffs()
-    singular = []
-    for x in k:
-        for y in k:
-            eq = (y * y + a1 * x * y + a3 * y
-                  - (((x + a2) * x + a4) * x + a6))
-            if eq:
-                continue
-            dy = 2 * y + a1 * x + a3
-            dx = a1 * y - (3 * x * x + 2 * a2 * x + a4)
-            if not dy and not dx:
-                singular.append((x, y))
-    assert len(singular) == 1, f"expected a unique singular point, got {singular}"
-    x0, y0 = singular[0]
-    # tangent cone at the singular point: shift to the origin; the
-    # degree-2 form is Y^2 + a1 XY - (a2 + 3 x0) X^2, and the direction
-    # X = 0 is never tangent (Y^2 has coefficient 1), so tangent
-    # directions are the roots of z^2 + a1 z - (a2 + 3 x0)
-    c = a2 + 3 * x0
-    k2 = k.extension_squared()
-    a1big = k.embed_into(k2, a1)
-    cbig = k.embed_into(k2, c)
-    roots = [z for z in k2 if z * z + a1big * z - cbig == k2.zero]
-    assert 1 <= len(roots) <= 2
-    if len(roots) == 1:
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    c4 = b2 * b2 - 24 * b4
+    node = bool(c4)
+    if p == 2:
+        if node:
+            x0 = a3 / a1
+            y0 = (x0 * x0 + a4) / a1
+        else:
+            x0 = frobenius_inverse(a4)
+            y0 = frobenius_inverse(((x0 + a2) * x0 + a4) * x0 + a6)
+    else:
+        if p == 3:
+            x0 = -b4 / b2 if node else frobenius_inverse(-b6)
+        elif node:
+            c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+            x0 = -(c6 / c4 + b2) / 12
+        else:
+            x0 = -b2 / 12
+        y0 = -(a1 * x0 + a3) / 2
+    eq = y0 * y0 + a1 * x0 * y0 + a3 * y0 - (((x0 + a2) * x0 + a4) * x0 + a6)
+    dy = 2 * y0 + a1 * x0 + a3
+    dx = a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)
+    assert not (eq or dy or dx), f"({x0}, {y0}) is not a singular point"
+    if not node:
         return ReductionType("additive", (x0, y0))
-    split = all(_in_subfield(k, k2, z) for z in roots)
+    if p == 2:  # z = a1 w turns the tangent cone into w^2 + w = (a2 + x0)/a1^2
+        split = not ff_trace((a2 + x0) / (a1 * a1))
+    else:
+        split = (b2 + 12 * x0) ** ((k.order - 1) // 2) == k.one
     return ReductionType("multiplicative", (x0, y0), split=split)
-
-
-def _in_subfield(k, k2, z):
-    for a in k:
-        if k.embed_into(k2, a) == z:
-            return True
-    return False
 
 
 class Transform:
@@ -267,7 +272,6 @@ def normalize_additive(E: WeierstrassCurve):
     rt = reduction_type(E)
     if rt.tag != "additive":
         raise ValueError(f"reduction type: {rt.tag}; additive required")
-    k = E.field.residue
     x0, y0 = rt.singular_point
     r = _lift(E.field, x0)
     t = _lift(E.field, y0)
@@ -276,7 +280,7 @@ def normalize_additive(E: WeierstrassCurve):
     # tangent direction: the double root of z^2 + a1bar z - a2bar
     a1b = E1.a1.reduce()
     a2b = E1.a2.reduce()
-    z0 = next(z for z in k if z * z + a1b * z - a2b == k.zero)
+    z0 = frobenius_inverse(a2b) if E.field.p == 2 else -a1b / 2
     if not z0:
         E2, tr = E1, tr1
     else:

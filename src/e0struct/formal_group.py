@@ -15,8 +15,6 @@ from math import gcd, lcm
 from .residue_field import AdditivePoly
 from .series import Series, WPoly, GENERIC_A
 
-GENERIC_ONE = 1
-
 
 class TruncationInsufficient(ArithmeticError):
     pass

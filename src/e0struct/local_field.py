@@ -574,10 +574,5 @@ class KElement:
                 "prec": self.prec}
 
 
-def lf_make(p, kind, M=None, n=None, eisenstein_poly=None) -> LocalField:
-    """Validated construction of a field descriptor."""
-    return LocalField(p, kind, M=M, n=n, eisenstein_poly=eisenstein_poly)
-
-
 def valuation(x):
     return x.valuation()

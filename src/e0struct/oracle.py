@@ -41,6 +41,18 @@ def _vec_mul(u, v, poly, q):
     return tuple(c % q for c in prod[:d])
 
 
+def _reduce_poly(prod, poly, q):
+    """Reduce product coefficients (..., 2d-1) by the monic defining
+    polynomial on the last axis; the full width holds the intermediate
+    high terms, and the low d coefficients are returned mod q."""
+    d = len(poly) - 1
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[..., k]
+        for i in range(d):
+            prod[..., k - d + i] -= c * poly[i]
+    return prod[..., :d] % q
+
+
 class _Ring:
     """O_K/p^kd with numpy-array series arithmetic."""
 
@@ -84,12 +96,7 @@ class _Ring:
             for j in range(d):
                 out[:, :, i + j] += convolve2d(
                     As[:, :, i], Bs[:, :, j])[: t + 1, : t + 1]
-        res = out[:, :, :d]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[:, :, k]
-            for i in range(d):
-                res[:, :, k - d + i] -= c * self.poly[i]
-        res %= self.q
+        res = _reduce_poly(out, self.poly, self.q)
         i = np.arange(t + 1)
         res[i[:, None] + i[None, :] > t] = 0
         if t == D:
@@ -288,17 +295,11 @@ class FiniteModel:
     def _batch_mul(self, X, Y):
         """Elementwise ring product of (..., d) coordinate arrays."""
         d = self.ring.d
-        q = self.ring.q
         prod = np.zeros(X.shape[:-1] + (2 * d - 1,), dtype=np.int64)
         for i in range(d):
             for j in range(d):
                 prod[..., i + j] += X[..., i] * Y[..., j]
-        res = prod[..., :d]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[..., k]
-            for i in range(d):
-                res[..., k - d + i] -= c * self.ring.poly[i]
-        return res % q
+        return _reduce_poly(prod, self.ring.poly, self.ring.q)
 
     def _g_rows(self, Y):
         """G_i(y) = sum_j F[i][j] y^j for all i, vectorized over rows of
@@ -355,17 +356,12 @@ class FiniteModel:
 
     def _uni_mul(self, A, B):
         """Product of univariate series arrays (D+1, d), truncated at D."""
-        d, q, D = self.ring.d, self.ring.q, self.D
+        d, D = self.ring.d, self.D
         prod = np.zeros((D + 1, 2 * d - 1), dtype=np.int64)
         for i in range(d):
             for j in range(d):
                 prod[:, i + j] += np.convolve(A[:, i], B[:, j])[: D + 1]
-        res = prod[:, :d]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[:, k]
-            for i in range(d):
-                res[:, k - d + i] -= c * self.ring.poly[i]
-        return res % q
+        return _reduce_poly(prod, self.ring.poly, self.ring.q)
 
     def mult_p_series(self):
         """[p](T) mod p^(kd+2) by iterating u -> F(u(T), T)."""

@@ -126,10 +126,6 @@ class WPoly:
     def is_homogeneous_of_weight(self, w):
         return all(key_weight(k) == w for k in self.d)
 
-    def min_factor_count(self):
-        """Smallest total number of a_i factors over the monomials."""
-        return min((sum(unpack(k)) for k in self.d), default=None)
-
     def divisible_by_int(self, m):
         return all(isinstance(v, int) and v % m == 0 for v in self.d.values())
 

@@ -1,9 +1,15 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
+from jsonschema.validators import validator_for
 
-from e0struct.cli import main
+from e0struct.cli import DESCRIPTOR_SCHEMA, main
+from e0struct.curve import Transform
+from e0struct.local_field import LocalField
+
+from conftest import make_curve
 
 
 @pytest.fixture
@@ -155,3 +161,68 @@ def test_rational_string_coefficients(runner, tmp_path):
     res = runner.invoke(main, ["classify", write_desc(tmp_path, desc)])
     assert res.exit_code == 0
     assert res.output.startswith("Z_5 x Z/5Z")
+
+
+def test_descriptor_schema_is_valid():
+    validator_for(DESCRIPTOR_SCHEMA).check_schema(DESCRIPTOR_SCHEMA)
+
+
+@pytest.mark.parametrize("desc, expected", [
+    ({"p": 3, "field": {"kind": "unramified", "n": 3},
+      "a": [3, 3, 3, 3, 3]}, "order 729, p_rank 3, kernel 27: pass\n"),
+    (dict(E2_DESC, field={"kind": "unramified", "n": 3}),
+     "order 64, p_rank 4, kernel 16: pass\n"),
+], ids=["F_27", "F_8"])
+def test_oracle_command_cubic_residue_field(runner, desc, expected):
+    # the oracle's ring product reduces by a defining polynomial of degree 3
+    res = runner.invoke(main, ["oracle", "-", "-m", "2"],
+                        input=json.dumps(desc))
+    assert res.exit_code == 0
+    assert res.output == expected
+
+
+@pytest.mark.parametrize("argv, desc, message", [
+    (["classify", "-"],
+     {"p": 7, "field": {"kind": "unramified", "n": 2},
+      "a": [7, 0, -28, 7, -35], "precision": 1},
+     "error: norm criterion (True) disagrees with kernel dimension 0"),
+    (["oracle", "-", "-m", "1"],
+     {"p": 1087, "field": {"kind": "unramified", "n": 1},
+      "a": [1087] * 5, "precision": 4},
+     "error: "),
+], ids=["classify-E7-F49-M1", "oracle-p1087-M1"])
+def test_internal_failure_is_a_clean_error(runner, argv, desc, message):
+    # AssertionError subclasses end as exit 1 and an error line; the
+    # p = 1087 model overflows the oracle's int64 arithmetic and fails a
+    # spot check
+    res = runner.invoke(main, argv, input=json.dumps(desc))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(message)
+    assert "Traceback" not in res.output
+
+
+def _unnormalized(p, n, a, rst):
+    """The descriptor of a normalized model moved by X = X' + r,
+    Y = Y' + s X' + t with unit r, s, t."""
+    field = LocalField.unramified(p, n, 12)
+    E = Transform(field, *map(field.element, rst)).apply(make_curve(field, a))
+    return {"p": p, "field": {"kind": "unramified", "n": n},
+            "a": [list(ai.coeffs) for ai in E.a], "precision": 12}
+
+
+@pytest.mark.parametrize("desc, expected", [
+    (_unnormalized(1009, 1, (1009, 2018, 1009, 3027, 1009),
+                   ([5], [7], [11])), "Z_1009"),
+    (_unnormalized(11, 3, (11, 22, 11, 33, 11),
+                   ([1, 2, 3], [4, 5, 6], [7, 8, 9])), "Z_11^3"),
+], ids=["Q_1009", "F_1331"])
+def test_classify_unnormalized_large_residue_field(runner, desc, expected):
+    # both take the 6e < p - 1 path, so the time is the special-fibre
+    # geometry of a model that must be normalized first
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["classify", "-"], input=json.dumps(desc))
+    elapsed = time.perf_counter() - t0
+    assert res.exit_code == 0
+    assert res.output == f"{expected}, method: 6e<p-1, certified\n"
+    assert elapsed < 2.0

@@ -1,3 +1,6 @@
+import functools
+import random
+
 import pytest
 
 from e0struct.curve import (INFINITY, CurvePoint, NotInE0, Transform,
@@ -5,6 +8,8 @@ from e0struct.curve import (INFINITY, CurvePoint, NotInE0, Transform,
                             normalize_additive, point_add, point_mul,
                             point_neg, psi_E0, reduce_point, reduction_type,
                             smooth_component_map)
+from e0struct.local_field import LocalField
+from e0struct.residue_field import FiniteField
 
 from conftest import FIXTURE_COEFFS, make_curve
 
@@ -152,3 +157,101 @@ def test_normalize_rejects_multiplicative(Q5):
     E = make_curve(Q5, (0, 1, 0, 0, 5))
     with pytest.raises(ValueError, match="multiplicative"):
         normalize_additive(E)
+
+
+# -- brute-force special fibre: the test oracle for the closed forms --------
+
+def _horner(coeffs, z, field):
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * z + field.element(c)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _squared_extension(k):
+    """F_{q^2} and the embedding of k sending gen to a root of k's modulus
+    there, the root found by search."""
+    big = FiniteField(k.p, 2 * k.n)
+    root = next(z for z in big if not _horner(k.modulus, z, big))
+    return big, lambda a: _horner(a.coeffs, root, big)
+
+
+def brute_special_fibre(E):
+    """(tag, singular point, split) by exhaustive search: the singular
+    point over k x k, the tangent directions z^2 + a1 z - (a2 + 3 x0)
+    over F_{q^2}, and split iff the two directions lie in k."""
+    k = E.field.residue
+    a1, a2, a3, a4, a6 = E.reduced_coeffs()
+    singular = [
+        (x, y) for x in k for y in k
+        if not (y * y + a1 * x * y + a3 * y - (((x + a2) * x + a4) * x + a6)
+                or 2 * y + a1 * x + a3
+                or a1 * y - (3 * x * x + 2 * a2 * x + a4))]
+    assert len(singular) == 1, singular
+    x0, y0 = singular[0]
+    big, embed = _squared_extension(k)
+    b, c = embed(a1), embed(a2 + 3 * x0)
+    roots = [z for z in big if z * z + b * z - c == big.zero]
+    if len(roots) == 1:
+        return "additive", (x0, y0), None
+    image = {embed(a) for a in k}
+    return "multiplicative", (x0, y0), all(z in image for z in roots)
+
+
+def _singular_model(field, kind, rng):
+    """Y^2 + A1 XY = X^3 + A2 X^2 + p, whose fibre is singular at the
+    origin with tangent directions the roots of z^2 + A1 z - A2, moved
+    by a random coordinate change."""
+    k = field.residue
+    elems = list(k)
+    if kind == "split":
+        z1, z2 = rng.sample(elems, 2)
+        A1, A2 = -(z1 + z2), -z1 * z2
+    elif kind == "cusp":
+        z0 = rng.choice(elems)
+        A1, A2 = -2 * z0, -z0 * z0
+    else:
+        while True:
+            A1, A2 = rng.choice(elems), rng.choice(elems)
+            if all(z * z + A1 * z - A2 for z in elems):
+                break
+    E = WeierstrassCurve(field, field.element(list(A1.coeffs)),
+                         field.element(list(A2.coeffs)), 0, 0, field.p)
+    r, s, t = (field.element([rng.randrange(field.p ** 3)
+                              for _ in range(field.deg)]) for _ in range(3))
+    return Transform(field, r, s, t).apply(E)
+
+
+# every field of order <= 49, plus F_11 and F_13
+CLOSED_FORM_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1),
+                      (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2),
+                      (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p, n", CLOSED_FORM_FIELDS)
+def test_reduction_type_matches_brute_force(p, n):
+    field = LocalField.unramified(p, n, 10)
+    k = field.residue
+    rng = random.Random(100 * p + n)
+    expected = {"split": ("multiplicative", True),
+                "nonsplit": ("multiplicative", False),
+                "cusp": ("additive", None)}
+    for kind, (tag, split) in expected.items():
+        for _ in range(2):
+            E = _singular_model(field, kind, rng)
+            brute = brute_special_fibre(E)
+            assert brute[0] == tag and brute[2] is split, (kind, brute)
+            rt = reduction_type(E)
+            assert (rt.tag, rt.singular_point, rt.split) == brute, kind
+            if tag != "additive":
+                continue
+            E2, tr = normalize_additive(E)
+            assert (tr.r.reduce(), tr.t.reduce()) == brute[1]
+            # the tangent after the translation, found by search
+            E1 = Transform(field, tr.r, 0, tr.t).apply(E)
+            a1b, a2b = E1.a1.reduce(), E1.a2.reduce()
+            tangent = [z for z in k if z * z + a1b * z - a2b == k.zero]
+            assert tangent == [tr.s.reduce()]
+            assert all((x - y).is_zero_at_precision()
+                       for x, y in zip(tr.apply(E).a, E2.a))

@@ -97,18 +97,27 @@ def test_additive_poly_linearity():
         assert f(a + b) == f(a) + f(b)
 
 
-def test_extension_squared_embedding():
-    # [TRIVIAL] the embedding into the squared extension is a ring hom
-    k = FiniteField(3, 2)
-    k2 = k.extension_squared()
+# every field of order <= 3^4 except the prime fields beyond F_7
+SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
+                (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
 
-    def emb(x):
-        return k.embed_into(k2, x)
 
-    for a in list(k)[:5]:
-        for b in list(k)[:5]:
-            assert emb(a * b) == emb(a) * emb(b)
-            assert emb(a + b) == emb(a) + emb(b)
+@pytest.mark.parametrize("p, n", SMALL_FIELDS)
+def test_additive_poly_roots_match_exhaustive_search(p, n):
+    # [TRIVIAL] the linear-algebra kernel is the set of roots found by
+    # evaluating f on the whole field
+    k = FiniteField(p, n)
+    elems = list(k)
+    rng = random.Random(100 * p + n)
+    polys = [AdditivePoly(k, [k.one, -c]) for c in elems]  # T - c T^p
+    polys += [AdditivePoly(k, [rng.choice(elems)
+                               for _ in range(rng.randint(1, n + 1))])
+              for _ in range(10)]
+    for f in polys:
+        dim, roots = additive_poly_roots(f)
+        brute = sorted(x.coeffs for x in elems if not f(x))
+        assert sorted(r.coeffs for r in roots) == brute, f
+        assert len(brute) == p ** dim
 
 
 def test_non_prime_rejected():
