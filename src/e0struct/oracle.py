@@ -3,16 +3,19 @@ sum F on O_K/m_K^M, its p-rank via iterated self-addition, and the
 [p]-kernel count, compared against a classification report.
 
 The group law here is rebuilt numerically per curve (numpy integer
-convolutions over O_K/p^k), sharing no series code with formal_group;
+arithmetic over O_K/p^k), sharing no series code with formal_group;
 only the [p]-kernel count reuses the engine's specialized [p] series,
-deliberately cross-validating the two."""
+deliberately cross-validating the two.  All arithmetic runs through
+three primitives of _Ring (a ring product, a truncated series product
+and a polynomial evaluation), whose worst-case int64 intermediate is
+checked before a model is built."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .formal_group import specialized_mult_by_n
 
@@ -23,259 +26,215 @@ class ModelTooLarge(ValueError):
     pass
 
 
-def _vec_mul(u, v, poly, q):
-    """Product of two O_K/p^q-elements as coefficient tuples, reduced by
-    the monic defining polynomial (ascending coefficients)."""
-    d = len(u)
-    prod = [0] * (2 * d - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                prod[i + j] += ui * vj
-    for k in range(2 * d - 2, d - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(d):
-                prod[k - d + i] -= c * poly[i]
-    return tuple(c % q for c in prod[:d])
-
-
-def _reduce_poly(prod, poly, q):
-    """Reduce product coefficients (..., 2d-1) by the monic defining
-    polynomial on the last axis; the full width holds the intermediate
-    high terms, and the low d coefficients are returned mod q."""
+def _reduce_poly(coords, poly, q):
+    """Reduce the 2d-1 coordinate arrays of a product by the monic
+    defining polynomial (ascending coefficients); the low d coordinates
+    come back mod q as one array (..., d)."""
     d = len(poly) - 1
+    c = list(coords)
     for k in range(2 * d - 2, d - 1, -1):
-        c = prod[..., k]
         for i in range(d):
-            prod[..., k - d + i] -= c * poly[i]
-    return prod[..., :d] % q
+            c[k - d + i] = c[k - d + i] - c[k] * poly[i]
+    out = np.empty(np.shape(c[0]) + (d,), dtype=np.int64)
+    for k in range(d):
+        np.remainder(c[k], q, out=out[..., k])
+    return out
 
 
 class _Ring:
-    """O_K/p^kd with numpy-array series arithmetic."""
+    """O_K/p^kd on the power basis.  Elements are coordinate arrays
+    (..., d) with entries in [0, q); a truncated series in one or two
+    variables keeps its series axes in front of the coordinate axis:
+    (D+1, d) or (D+1, D+1, d), the latter truncated at total degree D."""
 
     def __init__(self, field, kd):
-        self.field = field
         self.d = field.deg
         self.q = field.p ** kd
         self.poly = field.poly
 
-    def vmul(self, u, v):
-        return _vec_mul(u, v, self.poly, self.q)
-
-    def mulmat(self, c):
-        """d x d integer matrix of multiplication by c on the power basis."""
+    def int64_bound(self, D):
+        """Largest intermediate of mul, series_mul and evaluate on series
+        truncated at degree D.  A coordinate of an unreduced product sums
+        d coordinate products below q^2 per term: one term in mul,
+        (r+1)(c+1) <= (D+2)^2/4 at the coefficient (r, c), r + c <= D, of
+        series_mul, and D+1 <= (D+2)^2/4 in evaluate.  Each of the d-1
+        reduction steps by the defining polynomial grows the magnitude by
+        at most a factor 1 + H, H its largest lower coefficient."""
         d = self.d
-        cols = []
-        for i in range(d):
-            basis = tuple(1 if j == i else 0 for j in range(d))
-            cols.append(self.vmul(c, basis))
-        return np.array(cols, dtype=np.int64).T  # row k, col i
+        H = max(abs(c) for c in self.poly[:d])
+        return (D + 2) ** 2 // 4 * d * (self.q - 1) ** 2 * (1 + H) ** (d - 1)
 
-    def biv_zero(self, D):
-        return np.zeros((D + 1, D + 1, self.d), dtype=np.int64)
-
-    def _mask(self, A):
-        D = A.shape[0] - 1
-        i = np.arange(D + 1)
-        bad = i[:, None] + i[None, :] > D
-        A[bad] = 0
-        return A
-
-    def biv_mul(self, A, B, bound=None):
-        """Product truncated at total degree bound (default: array size).
-        A smaller bound lets the convolutions run on trimmed arrays."""
-        D = A.shape[0] - 1
+    def _product(self, coord_product):
+        """A ring product from its coordinate products: coordinate k of
+        the result sums coord_product(a, b) over a + b = k, reduced once."""
         d = self.d
+        c = [0] * (2 * d - 1)
+        for a in range(d):
+            for b in range(d):
+                c[a + b] = c[a + b] + coord_product(a, b)
+        return _reduce_poly(c, self.poly, self.q)
+
+    def mul(self, X, Y):
+        """Ring product of coordinate arrays, broadcast over the leading
+        axes (a series times a scalar is mul(A, c))."""
+        return self._product(lambda a, b: X[..., a] * Y[..., b])
+
+    def series_mul(self, A, B, bound=None):
+        """Product of two truncated series of the same shape, truncated at
+        total degree bound (default D).  Each row of coefficients is
+        flattened with the coordinate axis at stride 2d - 1, so one
+        np.convolve multiplies two rows, coordinates included; in two
+        variables only the row pairs whose degrees sum to at most the
+        bound are convolved, each cut to the columns it can reach."""
+        D = A.shape[0] - 1
         t = D if bound is None else min(bound, D)
-        out = np.zeros((t + 1, t + 1, 2 * d - 1), dtype=np.int64)
-        As, Bs = A[: t + 1, : t + 1], B[: t + 1, : t + 1]
-        for i in range(d):
-            for j in range(d):
-                out[:, :, i + j] += convolve2d(
-                    As[:, :, i], Bs[:, :, j])[: t + 1, : t + 1]
-        res = _reduce_poly(out, self.poly, self.q)
-        i = np.arange(t + 1)
-        res[i[:, None] + i[None, :] > t] = 0
-        if t == D:
-            return res
-        full = np.zeros_like(A)
-        full[: t + 1, : t + 1] = res
-        return full
+        d, S = self.d, 2 * self.d - 1
+        A2, B2 = (A, B) if A.ndim == 3 else (A[None], B[None])
+        R = min(len(A2), t + 1)  # t + 1 rows in two variables, 1 in one
 
-    def biv_scalar(self, A, c):
-        return np.tensordot(A, self.mulmat(c), axes=([2], [1])) % self.q
+        def flat(X):
+            rows = np.zeros((R, t + 1, S), dtype=np.int64)
+            rows[..., :d] = X[:R, :t + 1]
+            return rows.reshape(R, -1)
 
-    def biv_shift(self, A, axis):
-        out = np.zeros_like(A)
-        if axis == 0:
-            out[1:] = A[:-1]
+        Af, Bf = flat(A2), flat(B2)
+        prod = np.zeros_like(Af)
+        for i in range(R):
+            for j in range(R - i):
+                n = (t + 1 - i - j) * S
+                prod[i + j, :n] += np.convolve(Af[i, :n], Bf[j, :n])[:n]
+        out = np.zeros_like(A2)
+        out[:R, :t + 1] = _reduce_poly(
+            np.moveaxis(prod.reshape(R, t + 1, S), -1, 0), self.poly, self.q)
+        return out if A.ndim == 3 else out[0]
+
+    def evaluate(self, C, X, series=False):
+        """sum_j C[..., j] X^j at ring elements X, or at one truncated
+        series X.  The power table X^0 ... X^D takes D - 1 products (mul
+        or series_mul), and its contraction with the coefficient rows
+        C (..., D+1, d) sums over j before the one reduction.  The other
+        leading axes of C broadcast against those of X, so C[:, None]
+        gives one polynomial per row of C at every point of X."""
+        D = C.shape[-2] - 1
+        product = self.series_mul if series else self.mul
+        P = np.zeros((D + 1,) + X.shape, dtype=np.int64)
+        if series:
+            P[(0,) * P.ndim] = 1
         else:
-            out[:, 1:] = A[:, :-1]
-        return self._mask(out)
+            P[0, ..., 0] = 1
+        P[1] = X % self.q
+        for j in range(2, D + 1):
+            P[j] = product(P[j - 1], P[1])
+        return self._product(lambda a, b: np.einsum(
+            "...j,j...->...", C[..., a], P[..., b]))
 
-    def biv_invert_unit(self, A):
+    def invert_unit(self, A):
         """Inverse of a series with constant term 1, by Newton iteration
         with doubling truncation."""
         D = A.shape[0] - 1
-        z = self.biv_zero(D)
-        z[0, 0, 0] = 1
-        t = 1
-        while True:
+        one = np.zeros_like(A)
+        one[(0,) * A.ndim] = 1
+        z, t = one, 1
+        while t < D:
             t = min(2 * t, D)
-            az = self.biv_mul(A, z, bound=t)
-            az = (-az) % self.q
-            az[0, 0, 0] = (az[0, 0, 0] + 2) % self.q
-            z = self.biv_mul(z, az, bound=t)
-            if t == D:
-                break
-        check = self.biv_mul(A, z)
-        check[0, 0, 0] -= 1
-        assert not check.any(), "unit inversion failed"
+            az = self.series_mul(A, z, bound=t)
+            z = self.series_mul(z, (2 * one - az) % self.q, bound=t)
+        assert (self.series_mul(A, z) == one).all(), "unit inversion failed"
         return z
 
 
 def _numeric_w(ring, a, D):
-    """The w-series coefficient vectors, solved degreewise (mirrors the
-    symbolic recurrence but in modular vector arithmetic)."""
-    d = ring.d
-    zero = tuple([0] * d)
-    one = tuple([1] + [0] * (d - 1))
+    """The w-series coefficients (D+1, d), solved degreewise from
+    w = t^3 + a1 t w + a2 t^2 w + a3 w^2 + a4 t w^2 + a6 w^3 (the
+    symbolic recurrence, in modular coordinate arithmetic)."""
+    q, mul = ring.q, ring.mul
     a1, a2, a3, a4, a6 = a
-    c = {3: one}
-
-    def vadd(u, v):
-        return tuple((x + y) % ring.q for x, y in zip(u, v))
-
+    w = np.zeros((D + 1, ring.d), dtype=np.int64)
+    w2 = np.zeros_like(w)  # the coefficients of w^2
+    w[3, 0] = 1
     for n in range(4, D + 1):
-        v = zero
-        if n - 1 in c:
-            v = vadd(v, ring.vmul(a1, c[n - 1]))
-        if n - 2 in c:
-            v = vadd(v, ring.vmul(a2, c[n - 2]))
-        for m, coeff in ((n, a3), (n - 1, a4)):
-            s = zero
-            for i in range(3, m - 2):
-                if i in c and m - i in c:
-                    s = vadd(s, ring.vmul(c[i], c[m - i]))
-            v = vadd(v, ring.vmul(coeff, s))
-        s = zero
-        for i in range(3, n - 5):
-            for j in range(3, n - i - 2):
-                kk = n - i - j
-                if kk >= 3 and i in c and j in c and kk in c:
-                    s = vadd(s, ring.vmul(c[i], ring.vmul(c[j], c[kk])))
-        v = vadd(v, ring.vmul(a6, s))
-        if any(v):
-            c[n] = v
-    return c
+        # w[n] is still 0, and w vanishes below degree 3
+        w2[n] = mul(w[:n + 1], w[n::-1]).sum(0) % q
+        w3 = mul(w[:n + 1], w2[n::-1]).sum(0) % q
+        w[n] = (mul(a1, w[n - 1]) + mul(a2, w[n - 2]) + mul(a3, w2[n])
+                + mul(a4, w2[n - 1]) + mul(a6, w3)) % q
+    return w
 
 
 def _numeric_F(ring, a, D):
     """The group law F(T1, T2) mod p^kd, truncated at total degree D, as
     an array (D+1, D+1, d): the chord construction in modular arithmetic."""
     a1, a2, a3, a4, a6 = a
-    q, d = ring.q, ring.d
+    q, mul, smul = ring.q, ring.mul, ring.series_mul
     w = _numeric_w(ring, a, D + 1)
-    S = ring.biv_zero(D)
-    S[1, 0, 0] = 1
-    T = ring.biv_zero(D)
-    T[0, 1, 0] = 1
-    lam = ring.biv_zero(D)
-    P = S + T
-    Tpow = ring.biv_shift(T, 1)
-    for m in range(3, D + 2):
-        P = ring.biv_shift(P, 0) + Tpow
-        P %= q
-        Tpow = ring.biv_shift(Tpow, 1)
-        if m in w:
-            lam = (lam + ring.biv_scalar(P, w[m])) % q
-    w_at_s = ring.biv_zero(D)
-    for m, v in w.items():
-        if m <= D:
-            w_at_s[m, 0] = v
-    nu = (w_at_s - ring.biv_shift(lam, 0)) % q
-    lam2 = ring.biv_mul(lam, lam)
-    lamnu = ring.biv_mul(lam, nu)
-    two_a4 = ring.vmul(tuple((2 * x) % q for x in a4),
-                       tuple([1] + [0] * (d - 1)))
-    three_a6 = tuple((3 * x) % q for x in a6)
-    B = (ring.biv_scalar(lam, a1) + ring.biv_scalar(lam2, a3)
-         + ring.biv_scalar(nu, a2) + ring.biv_scalar(lamnu, two_a4)
-         + ring.biv_scalar(ring.biv_mul(lam, lamnu), three_a6)) % q
-    A = (ring.biv_scalar(lam, a2) + ring.biv_scalar(lam2, a4)
-         + ring.biv_scalar(ring.biv_mul(lam2, lam), a6)) % q
-    A[0, 0, 0] = (A[0, 0, 0] + 1) % q
-    t3 = (-(ring.biv_mul(B, ring.biv_invert_unit(A))) - S - T) % q
-    # i(t) = t * (-1 + a1 t + a3 w)^{-1}, composed with t3 by Horner;
-    # at step m the accumulator is later multiplied by t3^(m-1), whose
-    # minimum total degree is m-1, so degree D-m+1 truncation is safe
-    inv_coeffs = _numeric_inverse(ring, a, w, D)
-    result = ring.biv_zero(D)
-    for m in range(D, 0, -1):
-        result = ring.biv_mul(result, t3, bound=D - m + 1)
-        if m in inv_coeffs:
-            result[0, 0] = (result[0, 0] + inv_coeffs[m]) % q
-    # the loop leaves sum_m inv_m * t3^(m-1); one more factor of t3
-    return ring.biv_mul(result, t3)
+    # the chord through (S, w(S)) and (T, w(T)): its slope
+    # lam = (w(S) - w(T))/(S - T) has w_{i+j+1} at S^i T^j, and its
+    # intercept nu = w(S) - lam S has -w_{i+j} at i, j >= 1
+    i = np.arange(D + 1)
+    deg = i[:, None] + i
+    kept = (deg <= D)[..., None]
+    lam = np.where(kept, w[np.minimum(deg + 1, D + 1)], 0)
+    inner = kept & ((i[:, None] > 0) & (i > 0))[..., None]
+    nu = np.where(inner, -w[np.minimum(deg, D + 1)], 0) % q
+    lam2 = smul(lam, lam)
+    lamnu = smul(lam, nu)
+    B = (mul(lam, a1) + mul(lam2, a3) + mul(nu, a2)
+         + mul(lamnu, 2 * a4 % q) + mul(smul(lam, lamnu), 3 * a6 % q)) % q
+    A = mul(lam, a2) + mul(lam2, a4) + mul(smul(lam2, lam), a6)
+    A[0, 0, 0] += 1
+    t3 = -smul(B, ring.invert_unit(A % q))
+    t3[1, 0, 0] -= 1
+    t3[0, 1, 0] -= 1
+    # F = i(t3), with the series i of the inverse
+    return ring.evaluate(_numeric_inverse(ring, a, w, D), t3 % q,
+                         series=True)
 
 
 def _numeric_inverse(ring, a, w, D):
-    """Coefficients of i(t) = t*(-1 + a1 t + a3 w(t))^{-1} mod p^kd."""
-    q, d = ring.q, ring.d
-    a1, a2, a3, a4, a6 = a
-    den = {0: tuple([q - 1] + [0] * (d - 1)), 1: a1}
-    for m, v in w.items():
-        if m <= D:
-            acc = ring.vmul(a3, v)
-            if m in den:
-                acc = tuple((x + y) % q for x, y in zip(acc, den[m]))
-            den[m] = acc
-    # invert the unit series by the triangular recurrence
-    c0 = den[0][0]
-    assert c0 == q - 1 and not any(den[0][1:])
-    inv0 = tuple([q - 1] + [0] * (d - 1))  # 1/(-1) = -1
-    inv = {0: inv0}
-    for m in range(1, D + 1):
-        s = tuple([0] * d)
-        for k in range(1, m + 1):
-            if k in den and m - k in inv:
-                t = ring.vmul(den[k], inv[m - k])
-                s = tuple((x + y) % q for x, y in zip(s, t))
-        inv[m] = ring.vmul(inv0, tuple((-x) % q for x in s))
-    # i(t) = t * inv: shift by one
-    return {m + 1: np.array(v, dtype=np.int64)
-            for m, v in inv.items() if any(v) and m + 1 <= D}
+    """Coefficients (D+1, d) of i(t) = t*(-1 + a1 t + a3 w(t))^{-1}
+    mod p^kd."""
+    q = ring.q
+    a1, a3 = a[0], a[2]
+    neg_den = -ring.mul(w[:D + 1], a3)  # 1 - a1 t - a3 w(t)
+    neg_den[0, 0] += 1
+    neg_den[1] -= a1
+    inv = -ring.invert_unit(neg_den % q) % q
+    out = np.zeros_like(inv)
+    out[1:] = inv[:-1]
+    return out
 
 
 class FiniteModel:
     """The abelian group (O_K/m_K^M, x + y := F(x, y))."""
 
-    def __init__(self, E, M, size_bound=SIZE_BOUND):
+    def __init__(self, E, M):
         field = E.field
         if not E.is_normalized():
             raise ValueError("finite_model requires a normalized curve")
         self.E, self.field, self.M = E, field, M
         p, e, d = field.p, field.e, field.deg
         self.moduli = [field.coeff_modulus(i, M) for i in range(d)]
-        order = 1
-        for m in self.moduli:
-            order *= m
-        if order > size_bound:
-            raise ModelTooLarge(f"|O_K/m^{M}| = {order} > {size_bound}")
+        order = math.prod(self.moduli)
+        if order > SIZE_BOUND:
+            raise ModelTooLarge(f"|O_K/m^{M}| = {order} > {SIZE_BOUND}")
         self.order = order
         kd = field.int_prec(M)
         self.ring = _Ring(field, kd + 2)  # slack digits for lift checks
-        self.q = field.p ** kd
+        self.q = p ** kd
         D = 6 * M + 2
         self.D = D
         # truncation soundness: the first dropped coefficient has weight
         # >= D, so valuation >= e*ceil(D/6) >= M even at unit arguments
         assert e * (-(-D // 6)) >= M
-        avec = [tuple(c % self.ring.q for c in ai.coeffs) for ai in E.a]
-        self.F = _numeric_F(self.ring, avec, D)
+        bound = self.ring.int64_bound(D)
+        if bound >= 2 ** 63:
+            raise ModelTooLarge(
+                f"worst-case intermediate mod p^{kd + 2} at degree {D} is "
+                f"2^{math.log2(bound):.1f}, past the int64 bound 2^63")
+        q = self.ring.q
+        a = np.array([[c % q for c in ai.coeffs] for ai in E.a],
+                     dtype=np.int64)
+        self.F = _numeric_F(self.ring, a, D)
         # residues: all canonical coordinate vectors
         self.residues = np.array(
             list(itertools.product(*(range(m) for m in self.moduli))),
@@ -292,41 +251,17 @@ class FiniteModel:
             out[..., i] %= m
         return out
 
-    def _batch_mul(self, X, Y):
-        """Elementwise ring product of (..., d) coordinate arrays."""
-        d = self.ring.d
-        prod = np.zeros(X.shape[:-1] + (2 * d - 1,), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                prod[..., i + j] += X[..., i] * Y[..., j]
-        return _reduce_poly(prod, self.ring.poly, self.ring.q)
-
     def _g_rows(self, Y):
         """G_i(y) = sum_j F[i][j] y^j for all i, vectorized over rows of
         Y; returns array (D+1, len(Y), d)."""
-        D = self.D
-        G = np.zeros((D + 1,) + Y.shape, dtype=np.int64)
-        for i in range(D + 1):
-            acc = np.zeros_like(Y)
-            for j in range(D, -1, -1):
-                acc = self._batch_mul(acc, Y)
-                acc[..., :] = (acc + self.F[i, j]) % self.ring.q
-            G[i] = acc
-        return G
+        return self.ring.evaluate(self.F[:, None], Y)
 
     def add_batch(self, X, Y, G=None):
-        """F(x, y) for paired rows of X and Y (coordinates mod p^(kd+2))."""
+        """F(x, y) = sum_i G_i(y) x^i for paired rows of X and Y
+        (coordinates mod p^(kd+2))."""
         if G is None:
             G = self._g_rows(Y)
-        acc = np.zeros_like(X)
-        for i in range(self.D, -1, -1):
-            acc = (self._batch_mul(acc, X) + G[i]) % self.ring.q
-        return acc
-
-    def add(self, x, y):
-        X = np.array([x], dtype=np.int64)
-        Y = np.array([y], dtype=np.int64)
-        return tuple(self.canonical(self.add_batch(X, Y))[0])
+        return self.ring.evaluate(G.transpose(1, 0, 2), X)
 
     def is_zero(self, X):
         """Rows whose residue mod m^M is zero."""
@@ -339,7 +274,8 @@ class FiniteModel:
     # -- group facts -------------------------------------------------------
 
     def p_rank(self):
-        """log_p #{x : x + ... + x (p times) = 0}, by iterated addition."""
+        """log_p #{x : x + ... + x (p times) = 0}, by iterated addition
+        that reuses one G table."""
         X = self.residues
         G = self._g_rows(X)
         Z = X.copy()
@@ -354,26 +290,20 @@ class FiniteModel:
                 f"p-fold kernel size {count} is not a power of p")
         return rank
 
-    def _uni_mul(self, A, B):
-        """Product of univariate series arrays (D+1, d), truncated at D."""
-        d, D = self.ring.d, self.D
-        prod = np.zeros((D + 1, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                prod[:, i + j] += np.convolve(A[:, i], B[:, j])[: D + 1]
-        return _reduce_poly(prod, self.ring.poly, self.ring.q)
-
     def mult_p_series(self):
-        """[p](T) mod p^(kd+2) by iterating u -> F(u(T), T)."""
+        """[p](T) mod p^(kd+2) by iterating u -> F(u(T), T), which is
+        sum_j T^j G_j with G_j = sum_i F[i][j] u^i."""
         if self._mp_coeffs is None:
-            D, q = self.D, self.ring.q
-            u = np.zeros((D + 1, self.ring.d), dtype=np.int64)
+            D, ring = self.D, self.ring
+            C = self.F.transpose(1, 0, 2)[:, None]
+            u = np.zeros((D + 1, ring.d), dtype=np.int64)
             u[1, 0] = 1
             for _ in range(self.field.p - 1):
-                acc = np.zeros_like(u)
-                for i in range(D, -1, -1):
-                    acc = (self._uni_mul(acc, u) + self.F[i]) % q
-                u = acc
+                G = ring.evaluate(C, u, series=True)
+                u = np.zeros_like(u)
+                for j in range(D + 1):
+                    u[j:] += G[j, :D + 1 - j]
+                u %= ring.q
             self._mp_coeffs = u
         return self._mp_coeffs
 
@@ -391,12 +321,8 @@ class FiniteModel:
         return out
 
     def _kernel_flags(self):
-        u = self.mult_p_series()
-        X = self.residues
-        acc = np.zeros_like(X)
-        for m in range(self.D, -1, -1):
-            acc = (self._batch_mul(acc, X) + u[m]) % self.ring.q
-        return self.is_zero(acc)
+        return self.is_zero(self.ring.evaluate(self.mult_p_series(),
+                                               self.residues))
 
     def kernel_count(self):
         """#{x : [p](x) = 0 mod m^M}; [p] is built from F by repeated
@@ -445,19 +371,19 @@ class FiniteModel:
         assert (ab == ba).all(), "commutativity spot-check failed"
 
 
-def finite_model(E, M, size_bound=SIZE_BOUND) -> FiniteModel:
-    return FiniteModel(E, M, size_bound=size_bound)
+def finite_model(E, M) -> FiniteModel:
+    return FiniteModel(E, M)
 
 
 def p_rank(model: FiniteModel) -> int:
     return model.p_rank()
 
 
-def compare(E, report, M, size_bound=SIZE_BOUND):
+def compare(E, report, M):
     """Verdict dict comparing a certified report against the oracle."""
     if not report.certified:
         raise ValueError("compare requires a certified report")
-    model = finite_model(E, M, size_bound=size_bound)
+    model = finite_model(E, M)
     predicted = report.structure.free_rank + report.structure.torsion_rank
     rank = model.p_rank()
     kernel = model.kernel_count()

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from jsonschema.validators import validator_for
 
+import e0struct
 from e0struct.cli import DESCRIPTOR_SCHEMA, main
 from e0struct.curve import Transform
 from e0struct.local_field import LocalField
@@ -193,8 +198,8 @@ def test_oracle_command_cubic_residue_field(runner, desc, expected):
 ], ids=["classify-E7-F49-M1", "oracle-p1087-M1"])
 def test_internal_failure_is_a_clean_error(runner, argv, desc, message):
     # AssertionError subclasses end as exit 1 and an error line; the
-    # p = 1087 model overflows the oracle's int64 arithmetic and fails a
-    # spot check
+    # p = 1087 model is refused because its worst-case intermediate
+    # exceeds int64
     res = runner.invoke(main, argv, input=json.dumps(desc))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
@@ -226,3 +231,17 @@ def test_classify_unnormalized_large_residue_field(runner, desc, expected):
     assert res.exit_code == 0
     assert res.output == f"{expected}, method: 6e<p-1, certified\n"
     assert elapsed < 2.0
+
+
+def test_cli_import_loads_no_scipy():
+    # the oracle runs on numpy alone; a fresh interpreter shows what the
+    # import of the CLI pulls in
+    src = str(Path(e0struct.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, e0struct.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 
 from e0struct.classifier import ClassificationReport, GroupStructure, classify_general
 from e0struct.local_field import LocalField
-from e0struct.oracle import ModelTooLarge, compare, finite_model, p_rank
+from e0struct.oracle import ModelTooLarge, _Ring, compare, finite_model, p_rank
 
 from conftest import FIXTURE_COEFFS, make_curve
 
@@ -111,3 +111,103 @@ def test_ramified_model(Q2sqrt2):
     m = finite_model(E, 4)
     assert m.order == 16
     assert m.p_rank() == p_rank(m)
+
+
+def test_int64_bound_refuses_p1087():
+    # [DERIVED] at M = 1 the ring is Z/1087^3 and D = 8: the series
+    # product can sum 25 products below 1087^6, about 2^65.2
+    f = LocalField.unramified(1087, 1, 4)
+    E = make_curve(f, (1087,) * 5)
+    with pytest.raises(ModelTooLarge, match=r"2\^65\.2.*int64"):
+        finite_model(E, 1)
+
+
+def test_int64_bound_edge_at_level_one():
+    # 25 * (p^3 - 1)^2 < 2^63 holds up to p = 839 and fails from 853 on
+    refused = LocalField.unramified(853, 1, 4)
+    with pytest.raises(ModelTooLarge):
+        finite_model(make_curve(refused, (853,) * 5), 1)
+    f = LocalField.unramified(839, 1, 4)
+    E = make_curve(f, (839,) * 5)
+    assert compare(E, classify_general(E), 1)["verdict"] == "pass"
+
+
+def _poly_mul_mod(u, v, poly, q):
+    """u * v in Z[x]/(poly) mod q, in Python integers: schoolbook product,
+    then long division by the monic poly."""
+    d = len(poly) - 1
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):
+        c, prod[k] = prod[k], 0
+        for i in range(d):
+            prod[k - d + i] -= c * poly[i]
+    return [c % q for c in prod[:d]]
+
+
+def _dict_series_mul(A, B, poly, q, bound):
+    """Reference truncated product of series held as {exponents: coords}."""
+    d = len(poly) - 1
+    out = {}
+    for ea, u in A.items():
+        for eb, v in B.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= bound:
+                acc = out.setdefault(e, [0] * d)
+                for k, c in enumerate(_poly_mul_mod(u, v, poly, q)):
+                    acc[k] = (acc[k] + c) % q
+    return out
+
+
+def _random_series(rng, shape, q):
+    D = shape[0] - 1
+    A = rng.integers(0, q, size=shape, dtype=np.int64)
+    idx = np.indices(shape[:-1]).sum(axis=0)
+    A[idx > D] = 0
+    return A
+
+
+def _as_dict(A):
+    return {e: [int(c) for c in A[e]] for e in np.ndindex(A.shape[:-1])
+            if A[e].any()}
+
+
+@pytest.mark.parametrize("field", [
+    LocalField.unramified(5, 1, 8),
+    LocalField.unramified(7, 2, 8),
+    LocalField.eisenstein(31, (-31, 0, 1), 8),
+    LocalField.eisenstein(3, (-3, 3, -3, 1), 9),
+], ids=["Q_5", "F_49", "x^2-31", "cubic"])
+def test_series_mul_matches_dict_product(field):
+    D, kd = 8, 4
+    ring = _Ring(field, kd)
+    assert ring.int64_bound(D) < 2 ** 63
+    rng = np.random.default_rng(field.p)
+    for shape in ((D + 1, D + 1, ring.d), (D + 1, ring.d)):
+        for bound in (None, 0, 3, D):
+            A = _random_series(rng, shape, ring.q)
+            B = _random_series(rng, shape, ring.q)
+            want = _dict_series_mul(_as_dict(A), _as_dict(B), field.poly,
+                                    ring.q, D if bound is None else bound)
+            got = ring.series_mul(A, B, bound=bound)
+            assert got.shape == A.shape
+            assert _as_dict(got) == {e: c for e, c in want.items() if any(c)}
+
+
+def test_evaluate_matches_horner():
+    field = LocalField.eisenstein(3, (-3, 3, -3, 1), 9)
+    ring = _Ring(field, 4)
+    rng = np.random.default_rng(1)
+    C = rng.integers(0, ring.q, size=(4, 9, ring.d), dtype=np.int64)
+    X = rng.integers(0, ring.q, size=(5, ring.d), dtype=np.int64)
+    got = ring.evaluate(C[:, None], X)
+    for r in range(4):
+        for n in range(5):
+            acc = [0] * ring.d
+            for j in range(8, -1, -1):
+                acc = _poly_mul_mod(acc, [int(c) for c in X[n]],
+                                    field.poly, ring.q)
+                acc = [(x + int(c)) % ring.q for x, c in zip(acc, C[r, j])]
+            assert list(got[r, n]) == acc
