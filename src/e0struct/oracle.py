@@ -85,7 +85,11 @@ class _Ring:
         flattened with the coordinate axis at stride 2d - 1, so one
         np.convolve multiplies two rows, coordinates included; in two
         variables only the row pairs whose degrees sum to at most the
-        bound are convolved, each cut to the columns it can reach."""
+        bound are convolved, each cut to the columns it can reach.  There
+        the leading zero columns of each row are skipped too, so a row
+        pair whose first nonzero columns sum past the bound costs nothing
+        (the powers X^j of a series without constant term start at
+        total degree j)."""
         D = A.shape[0] - 1
         t = D if bound is None else min(bound, D)
         d, S = self.d, 2 * self.d - 1
@@ -95,14 +99,21 @@ class _Ring:
         def flat(X):
             rows = np.zeros((R, t + 1, S), dtype=np.int64)
             rows[..., :d] = X[:R, :t + 1]
-            return rows.reshape(R, -1)
+            if R == 1:  # one row: the scan costs more than it saves
+                return rows.reshape(R, -1), [0]
+            nz = np.ones((R, t + 2), dtype=bool)  # column t + 1: zero rows
+            nz[:, :t + 1] = X[:R, :t + 1].any(-1)
+            return rows.reshape(R, -1), nz.argmax(-1).tolist()
 
-        Af, Bf = flat(A2), flat(B2)
+        (Af, fa), (Bf, fb) = flat(A2), flat(B2)
         prod = np.zeros_like(Af)
         for i in range(R):
             for j in range(R - i):
-                n = (t + 1 - i - j) * S
-                prod[i + j, :n] += np.convolve(Af[i, :n], Bf[j, :n])[:n]
+                a, b, n = fa[i], fb[j], t + 1 - i - j
+                if a + b < n:
+                    prod[i + j, (a + b) * S:n * S] += np.convolve(
+                        Af[i, a * S:(n - b) * S],
+                        Bf[j, b * S:(n - a) * S])[:(n - a - b) * S]
         out = np.zeros_like(A2)
         out[:R, :t + 1] = _reduce_poly(
             np.moveaxis(prod.reshape(R, t + 1, S), -1, 0), self.poly, self.q)
@@ -130,13 +141,17 @@ class _Ring:
 
     def invert_unit(self, A):
         """Inverse of a series with constant term 1, by Newton iteration
-        with doubling truncation."""
+        with doubling truncation.  z = 1 is right below the lowest total
+        degree n of A - 1, and each step doubles n; the steps run until
+        n passes D, so degree D is right even when D is a power of 2."""
         D = A.shape[0] - 1
         one = np.zeros_like(A)
         one[(0,) * A.ndim] = 1
-        z, t = one, 1
-        while t < D:
-            t = min(2 * t, D)
+        degs = sum(np.nonzero((A - one) % self.q)[:-1])
+        z, n = one, int(degs.min()) if len(degs) else D + 1
+        while n <= D:
+            n *= 2
+            t = min(n, D)
             az = self.series_mul(A, z, bound=t)
             z = self.series_mul(z, (2 * one - az) % self.q, bound=t)
         assert (self.series_mul(A, z) == one).all(), "unit inversion failed"

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from e0struct.classifier import ClassificationReport, GroupStructure, classify_general
+from e0struct.curve import WeierstrassCurve
 from e0struct.local_field import LocalField
 from e0struct.oracle import ModelTooLarge, _Ring, compare, finite_model, p_rank
 
@@ -113,6 +116,20 @@ def test_ramified_model(Q2sqrt2):
     assert m.p_rank() == p_rank(m)
 
 
+def test_level_one_model_over_cubic_eisenstein():
+    # [DERIVED] at M = 1 the model is k^+ = F_3, so order 3, p-rank 1 and
+    # kernel 3.  D = 8 is a power of 2 and a1 = pi has v_3(a1^8) = 8/3 < 3,
+    # so the inverse series 1/(1 - a1 t - ...) mod 3^3 needs a Newton step
+    # past the one that first reaches degree 8
+    f = LocalField.eisenstein(3, (-3, 3, -3, 1), 9)
+    pi = f.element((0, 1))
+    E = WeierstrassCurve(f, pi, f.zero(), f.zero(), f.zero(), pi)
+    m = finite_model(E, 1)
+    assert m.D == 8
+    assert (m.order, m.p_rank(), m.kernel_count()) == (3, 1, 3)
+    assert np.array_equal(m.mult_p_series(), m.engine_mult_p_series())
+
+
 def test_int64_bound_refuses_p1087():
     # [DERIVED] at M = 1 the ring is Z/1087^3 and D = 8: the series
     # product can sum 25 products below 1087^6, about 2^65.2
@@ -161,11 +178,12 @@ def _dict_series_mul(A, B, poly, q, bound):
     return out
 
 
-def _random_series(rng, shape, q):
+def _random_series(rng, shape, q, low=0):
+    """Random coefficients at total degrees low .. D, zero elsewhere."""
     D = shape[0] - 1
     A = rng.integers(0, q, size=shape, dtype=np.int64)
     idx = np.indices(shape[:-1]).sum(axis=0)
-    A[idx > D] = 0
+    A[(idx > D) | (idx < low)] = 0
     return A
 
 
@@ -186,9 +204,11 @@ def test_series_mul_matches_dict_product(field):
     assert ring.int64_bound(D) < 2 ** 63
     rng = np.random.default_rng(field.p)
     for shape in ((D + 1, D + 1, ring.d), (D + 1, ring.d)):
-        for bound in (None, 0, 3, D):
-            A = _random_series(rng, shape, ring.q)
-            B = _random_series(rng, shape, ring.q)
+        # leading zero columns (low > 0) take the skipping path
+        for bound, low_a, low_b in itertools.product(
+                (None, 0, 3, D), (0, 2), (0, 1, 5)):
+            A = _random_series(rng, shape, ring.q, low_a)
+            B = _random_series(rng, shape, ring.q, low_b)
             want = _dict_series_mul(_as_dict(A), _as_dict(B), field.poly,
                                     ring.q, D if bound is None else bound)
             got = ring.series_mul(A, B, bound=bound)
