@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import WeierstrassCurve, normalize_additive, Transform
-from .formal_group import (GENERIC_A, eval_at, formal_log, g_polynomial,
-                           specialize, specialized_mult_by_n)
-from .local_field import LocalField
+from .formal_group import (eval_at, g_polynomial, specialized_log,
+                           specialized_mult_by_n, w_series)
+from .local_field import LocalField, PrecisionExhausted
 from .residue_field import additive_poly_roots, ff_norm, _fp_kernel
 
 
@@ -273,13 +273,14 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
             f"hypothesis-violated: p - 1 = {p - 1} <= e = {e}")
     target = 1 + e + 2 * e  # slack for log-coefficient denominators
     D = 6 * -(-target // e)  # tail bound e*ceil(D/6) >= target
-    mp = specialized_mult_by_n(E.a, p, D)
-    a_k = tuple(ai.as_k() for ai in E.a)
-    lg = specialize(formal_log(GENERIC_A, D), a_k, f.one().as_k(),
-                    embed=f.embed_rational)
+    w = w_series(E.a, D + p - 1)
     # H = k = F_p has the single generator 1; its image spans im(g)
-    px = eval_at(mp, f.one(), target)
-    y = lg.evaluate_univar(px.as_k(), f.one().as_k())
+    px = eval_at(specialized_mult_by_n(E.a, p, D, w), f.one(), target)
+    y = specialized_log(E.a, D, w).evaluate_univar(px.as_k(),
+                                                   f.one().as_k())
+    if y.prec < 1 + e:
+        raise PrecisionExhausted(
+            f"g-map value known mod m^{y.prec}; m/m^{1 + e} needs {1 + e}")
     coords = _m_mod_coords(y, f)
     # one column since the residue field is F_p; each basis line
     # pi^i Z_p / p pi^i Z_p of m/m^{1+e} is a copy of Z/p, so N = 1
@@ -359,7 +360,6 @@ def _pi_power_vector(k, field):
 
 def random_normalized_curve(field: LocalField, rng, span=6):
     """Test helper: a_i drawn from m_K/m_K^span, Delta != 0 at precision."""
-    from .local_field import PrecisionExhausted
     while True:
         avals = []
         for _ in range(5):

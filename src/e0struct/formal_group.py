@@ -13,15 +13,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .residue_field import AdditivePoly
-from .series import Series, WPoly, GENERIC_A
+from .series import (GENERIC_A, Series, WPoly, _is_zero_coeff,
+                     newton_levels)
 
 
 class TruncationInsufficient(ArithmeticError):
     pass
-
-
-def default_degree(p: int) -> int:
-    return max(2 * p + 6, 16)
 
 
 def w_series(a, D: int) -> Series:
@@ -40,7 +37,7 @@ def w_series(a, D: int) -> Series:
             for i in range(3, m - 2):
                 if i in c and m - i in c:
                     s = s + c[i] * c[m - i]
-            if not _zero(s):
+            if not _is_zero_coeff(s):
                 v = v + coeff * s
         # (w^3)_n
         s = 0
@@ -49,31 +46,41 @@ def w_series(a, D: int) -> Series:
                 kk = n - i - j
                 if kk >= 3 and i in c and j in c and kk in c:
                     s = s + c[i] * c[j] * c[kk]
-        if not _zero(s):
+        if not _is_zero_coeff(s):
             v = v + a6 * s
-        if not _zero(v):
+        if not _is_zero_coeff(v):
             c[n] = v
     return Series(1, D, {(n,): v for n, v in c.items()})
 
 
-def _zero(v):
-    if isinstance(v, int):
-        return v == 0
-    return not v
+def _negate(a, t: Series, w: Series):
+    """-(t, w) = (t, w)/(a1*t + a3*w - 1)."""
+    inv = (t.scale(a[0]) + w.scale(a[2])).add_const(-1).invert_unit(-1)
+    return t * inv, w * inv
+
+
+def _chord_sum(a, lam: Series, nu: Series, t1: Series, t2: Series):
+    """(t, w) of P1 + P2, for points with t-coordinates t1, t2 on the line
+    w = lam*t + nu (the tangent when they coincide).  Substituting the
+    line into the w-equation gives a cubic A*t^3 + B*t^2 + ... whose
+    roots t1, t2, t3 sum to -B/A; the sum is minus the third point."""
+    a1, a2, a3, a4, a6 = a
+    lam2 = lam * lam
+    lamnu = lam * nu
+    B = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
+         + lamnu.scale(2 * a4) + (lam * lamnu).scale(3 * a6))
+    A = (lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)).add_const(1)
+    t3 = -(B * A.invert_unit(1)) - t1 - t2
+    return _negate(a, t3, lam * t3 + nu)
 
 
 def inverse_series(a, D: int) -> Series:
-    """i(t) with F(t, i(t)) = 0; equals t/(-1 + a1*t + a3*w(t))."""
-    a1, a2, a3, a4, a6 = a
-    w = w_series(a, D)
-    t = Series.variable(1, D, 0)
-    den = t.scale(a1).add_const(-1) + w.scale(a3)
-    return t * den.invert_unit(-1)
+    """i(t) with F(t, i(t)) = 0."""
+    return _negate(a, Series.variable(1, D, 0), w_series(a, D))[0]
 
 
 def formal_sum(a, D: int) -> Series:
     """The formal group law F(T1, T2) by the chord construction."""
-    a1, a2, a3, a4, a6 = a
     w = w_series(a, D + 1)
     S = Series.variable(2, D, 0)
     T = Series.variable(2, D, 1)
@@ -86,25 +93,17 @@ def formal_sum(a, D: int) -> Series:
         P = S * P + Tpow
         Tpow = Tpow * T
         cm = w.coefficient(m)
-        if not _zero(cm):
+        if not _is_zero_coeff(cm):
             lam = lam + P.scale(cm)
     w_at_s = Series(2, D, {(m, 0): v for (m,), v in w.c.items()})
-    nu = w_at_s - lam * S
-    lam2 = lam * lam
-    lamnu = lam * nu
-    # substituting w = lam*t + nu into the w-equation gives a cubic
-    # A*t^3 + B*t^2 + ... with A, B below; t1 + t2 + t3 = -B/A
-    B = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
-         + lamnu.scale(2 * a4) + (lam * lamnu).scale(3 * a6))
-    A = (lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)).add_const(1)
-    t3 = -(B * A.invert_unit(1)) - S - T
-    return inverse_series(a, D).compose(t3)
+    return _chord_sum(a, lam, w_at_s - lam * S, S, T)[0]
 
 
 def compose_bivariate(F: Series, f: Series, g: Series) -> Series:
     """F(f, g) for bivariate F and univariate f, g with zero constant
     term.  Horner in the first variable."""
-    if not (_zero(f.constant_term()) and _zero(g.constant_term())):
+    if not (_is_zero_coeff(f.constant_term())
+            and _is_zero_coeff(g.constant_term())):
         raise ValueError("substituted series must have zero constant term")
     D = min(F.trunc, f.trunc, g.trunc)
     rows = {}
@@ -216,7 +215,7 @@ class _Scaled:
         if not isinstance(c0, int) or c0 == 0:
             raise ValueError("need a nonzero integer constant term")
         z = _Scaled.const(self.s.nvars, 0, self.den, c0)
-        for t2 in _newton_levels(self.s.trunc):
+        for t2 in newton_levels(self.s.trunc):
             zt = _Scaled(Series(self.s.nvars, t2, z.s.c), z.den,
                          normalize=False)
             st = self.truncate(t2)
@@ -231,7 +230,7 @@ class _Scaled:
         for d in range(D, -1, -1):
             result = result * g
             cd = self.s.c.get((d,), 0)
-            if not _zero(cd):
+            if not _is_zero_coeff(cd):
                 result = result + _Scaled(
                     Series.const(g.s.nvars, D, cd), self.den)
         return result
@@ -246,17 +245,6 @@ class _Scaled:
             return self.s
         d = self.den
         return self.s.map_coeffs(lambda v: _frac_div(v, d))
-
-
-def _newton_levels(D, start=1):
-    """Truncation schedule for Newton iteration: halve backwards from D so
-    the final (expensive) level is hit exactly once."""
-    levels = []
-    t = D
-    while t > start:
-        levels.append(t)
-        t = (t + 1) // 2
-    return list(reversed(levels))
 
 
 def _int_div(v, g):
@@ -323,7 +311,7 @@ def formal_exp(a, D: int) -> Series:
     doubling truncation."""
     lg = _log_scaled_cached(a, D + 1)
     e = _Scaled(Series.variable(1, 1, 0))
-    for t2 in _newton_levels(D):
+    for t2 in newton_levels(D, start=1):
         lgt = _Scaled(Series(1, t2 + 1, lg.s.c), lg.den, normalize=False)
         lgpt = lgt.derivative()
         et = _Scaled(Series(1, t2, e.s.c), e.den, normalize=False)
@@ -338,7 +326,7 @@ def _mult_via_log(n: int, D: int) -> Series:
     exact, and the integrality of the result is asserted."""
     lg = _log_scaled_cached(GENERIC_A, D + 1)
     u = _Scaled(Series.variable(1, 1, 0).scale(n))
-    for t2 in _newton_levels(D):
+    for t2 in newton_levels(D, start=1):
         lgt = _Scaled(Series(1, t2 + 1, lg.s.c), lg.den, normalize=False)
         lgpt = lgt.derivative()
         ut = _Scaled(Series(1, t2, u.s.c), u.den, normalize=False)
@@ -349,69 +337,56 @@ def _mult_via_log(n: int, D: int) -> Series:
     return u.s
 
 
-def specialized_mult_by_n(a, n: int, D: int) -> Series:
-    """[n](T) for concrete O_K coefficients a, computed univariately.
+def specialized_mult_by_n(a, n: int, D: int, w=None) -> Series:
+    """[n](T) for concrete O_K coefficients a, for 2 <= n <= p + 1.
 
-    Doubling steps go through composition with [2]; odd steps use the
-    chord through ([m-1](T), T), where the division by t2 - t1 =
-    (2-m)T + ... is exact because m - 2 is prime to p for the m that
-    occur (odd m with 3 <= m <= p+1)."""
-    field = a[0].field
-    one = field.one()
-    Dx = D + 2
-    a1, a2, a3, a4, a6 = a
-    w = w_series(a, Dx)
+    Carries the pair (t, w) of [m]P, P = (T, w(T)), as two series in T:
+    [2] through the tangent slope w'(T), then [m] = [m-1] + P through the
+    chord slope (w_{m-1} - w)/(t_{m-1} - T).  That division is exact
+    because t_{m-1} - T = (m-2)T + ... and m - 2 is prime to p.  Each slope
+    costs one degree, so the chain runs at D + n - 1; w, when the caller
+    has it, is the w-series of a to at least that degree."""
+    one = a[0].field.one()
+    Dx = D + n - 1
+    w = w_series(a, Dx) if w is None else w
     T = Series.variable(1, Dx, 0)
-    inv = inverse_series(a, Dx)
-    memo = {1: T}
-
-    def tangent_double(f):
-        # lam = w'(f) as the slope; for f = T this is the tangent at T
-        lam = w.derivative().truncate(Dx).compose(f)
-        nu = w.compose(f) - lam * f
-        return _third_point(f, f, lam, nu)
-
-    def chord(f, g):
-        den = g - f
-        c1inv = (den.coefficient(1) * one).invert()
-        num = w.compose(g) - w.compose(f)
-        lam = _shift_down(num, 1) * _shift_down(den, 1).invert_unit(c1inv)
-        nu = w.compose(f) - lam * f
-        return _third_point(f, g, lam, nu)
-
-    def _third_point(f, g, lam, nu):
-        lam2 = lam * lam
-        lamnu = lam * nu
-        B = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
-             + lamnu.scale(2 * a4) + (lam * lamnu).scale(3 * a6))
-        A = (lam.scale(a2) + lam2.scale(a4)
-             + (lam2 * lam).scale(a6)).add_const(1)
-        t3 = -(B * A.invert_unit(1)) - f - g
-        return inv.compose(t3)
-
-    def mult(m):
-        if m not in memo:
-            if m == 2:
-                memo[m] = tangent_double(T)
-            elif m % 2 == 0:
-                memo[m] = mult(2).compose(mult(m // 2))
-            else:
-                memo[m] = chord(mult(m - 1), T)
-        return memo[m]
-
-    return mult(n).truncate(D)
+    t, wt = T, w
+    for m in range(2, n + 1):
+        if m == 2:
+            lam = w.derivative()
+        else:
+            den = _shift_down(t - T, 1)
+            c0inv = (den.constant_term() * one).invert()
+            lam = _shift_down(wt - w, 1) * den.invert_unit(c0inv)
+        t, wt = _chord_sum(a, lam, w - lam * T, t, T)
+    return t.truncate(D)
 
 
-def specialize(s: Series, a_values, one, embed=None) -> Series:
+def specialized_log(a, D: int, w=None) -> Series:
+    """log(T) to degree D for concrete O_K coefficients a, as a series
+    over K: the integral of the invariant differential
+
+        omega = dT / (1 - a1*T - a2*T^2 - 2*a3*w - 2*a4*T*w - 3*a6*w^2),
+
+    which is integral with unit constant term (Silverman AEC IV.1), so
+    only the integration omega_d / (d+1) leaves O_K.  w, when the caller
+    has it, is the w-series of a to at least degree D - 1."""
+    one = a[0].field.one().as_k()
+    a1, a2, a3, a4, a6 = a
+    w = (w_series(a, D - 1) if w is None else w).truncate(D - 1)
+    T = Series.variable(1, D - 1, 0)
+    den = (T.scale(a1) + (T * T).scale(a2) + w.scale(2 * a3)
+           + (T * w).scale(2 * a4) + (w * w).scale(3 * a6))
+    omega = (-den).add_const(1).invert_unit(1)
+    return Series(1, D, {(d + 1,): c * one / (d + 1)
+                         for (d,), c in omega.c.items()})
+
+
+def specialize(s: Series, a_values, one) -> Series:
     """Substitute concrete a_i into the WPoly coefficients of s.
 
     a_values: the five coefficient values in the target ring; one: the
-    target ring's 1; embed: optional map from bare int/Fraction scalars
-    into the ring (defaults to c*one)."""
-    from .series import WPoly
-
-    if embed is None:
-        embed = lambda c: c * one
+    target ring's 1, which also embeds bare int/Fraction scalars."""
     powers = [[one] for _ in range(5)]
 
     def power(i, e):
@@ -425,7 +400,7 @@ def specialize(s: Series, a_values, one, embed=None) -> Series:
         if isinstance(v, WPoly):
             acc = None
             for exps, c in v.items():
-                term = embed(c)
+                term = c * one
                 for i, e in enumerate(exps):
                     if e:
                         term = term * power(i, e)
@@ -434,7 +409,7 @@ def specialize(s: Series, a_values, one, embed=None) -> Series:
                 continue
             out[key] = acc
         else:
-            out[key] = embed(v)
+            out[key] = v * one
     return Series(s.nvars, s.trunc, out)
 
 

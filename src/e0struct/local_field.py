@@ -72,6 +72,7 @@ class LocalField:
             raise ValueError(f"unknown kind {kind!r}")
         self.n = self.e * self.f
         self.deg = len(self.poly) - 1
+        self._moduli = {}
         self.M = M if M is not None else 12 * self.e
         if self.M < 1:
             raise ValueError("working precision must be >= 1")
@@ -106,17 +107,31 @@ class LocalField:
         return -(-prec // self.e)
 
     def coeff_modulus(self, i, prec):
-        """Modulus for coefficient i of an element known mod m_K^prec.
+        """Modulus for coefficient i of an element known mod m_K^prec."""
+        return self.coeff_moduli(prec)[i]
+
+    def coeff_moduli(self, prec):
+        """The coefficient moduli of an element known mod m_K^prec,
+        computed once per prec.
 
         Unramified basis powers are units, so every coefficient carries the
         full integer precision; Eisenstein basis powers are uniformizer
         powers, so coefficient i is only determined mod p^ceil((prec-i)/e).
         """
-        if self.kind == "unramified":
-            k = max(0, prec)
-        else:
-            k = max(0, -(-(prec - i) // self.e))
-        return self.p ** k
+        mods = self._moduli.get(prec)
+        if mods is None:
+            shifts = (range(self.deg) if self.kind == "eisenstein"
+                      else [0] * self.deg)
+            mods = self._moduli[prec] = tuple(
+                self.p ** max(0, -(-(prec - i) // self.e)) for i in shifts)
+        return mods
+
+    def p_unit(self, prec):
+        """The unit u = p / pi^e of an Eisenstein field, known mod
+        m_K^prec: the Eisenstein relation pi^e = -(h_0 + h_1 pi + ... +
+        h_{e-1} pi^{e-1}) makes 1/u = -(h_0 + h_1 pi + ...)/p."""
+        return self.element([-(c // self.p) for c in self.poly[:-1]],
+                            prec=prec).invert()
 
     @property
     def uniformizer(self) -> "OElement":
@@ -159,8 +174,12 @@ class LocalField:
         # prec is absolute: the result is known modulo m_K^prec
         unit_prec = max(1, prec - shift)
         mod = self.p ** self.int_prec(unit_prec + self.e)
-        unit = (num * pow(den, -1, mod)) % mod
-        return KElement(self.element([unit], prec=unit_prec), shift)
+        unit = self.element([(num * pow(den, -1, mod)) % mod], prec=unit_prec)
+        # p^k = pi^(e*k) * u^k with u = p / pi^e
+        if vn != vd and self.kind == "eisenstein":
+            u = self.p_unit(unit_prec)
+            unit = unit * (u ** (vn - vd) if vn > vd else u.invert() ** (vd - vn))
+        return KElement(unit, shift)
 
     def embed_integral_rational(self, q, prec=None) -> "OElement":
         q = Fraction(q)
@@ -198,8 +217,7 @@ class OElement:
         self.field = field
         self.prec = prec
         self.coeffs = tuple(
-            c % field.coeff_modulus(i, prec) if field.coeff_modulus(i, prec) > 1 else 0
-            for i, c in enumerate(coeffs))
+            c % m for c, m in zip(coeffs, field.coeff_moduli(prec)))
 
     # -- inspection ---------------------------------------------------------
 
@@ -242,8 +260,8 @@ class OElement:
             return NotImplemented
         prec = min(self.prec, other.prec)
         f = self.field
-        return all((a - b) % f.coeff_modulus(i, prec) == 0
-                   for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)))
+        return all((a - b) % m == 0 for a, b, m in zip(
+            self.coeffs, other.coeffs, f.coeff_moduli(prec)))
 
     def __hash__(self):
         raise TypeError("OElement compares at shared precision; not hashable")
@@ -251,12 +269,12 @@ class OElement:
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other):
+        if isinstance(other, OElement):
+            return other if other.field is self.field or other.field == self.field else None
         if isinstance(other, int):
             return self.field.element([other], prec=max(self.prec, self.field.M))
         if isinstance(other, Fraction):
             return self.field.embed_integral_rational(other, prec=max(self.prec, self.field.M))
-        if isinstance(other, OElement) and other.field == self.field:
-            return other
         return None
 
     def __add__(self, other):
@@ -363,17 +381,12 @@ class OElement:
             return OElement(f, [c // q for c in self.coeffs], self.prec - k)
         out = self
         # peel one power of pi at a time: x/pi = x * pi^(e-1) / pi^e, and
-        # pi^e = p * (unit) from the Eisenstein relation
+        # pi^e = p / u with u = p_unit from the Eisenstein relation
+        u = f.p_unit(max(1, self.prec))
         for _ in range(k):
-            coeffs = list(out.coeffs)
             # multiply by pi^(e-1): shift up, then reduce mod poly
-            shifted = [0] * (f.e - 1) + coeffs
-            red = f._reduce_poly(shifted)
-            # divide by pi^e = -(h_0 + h_1 pi + ...): unit part is
-            # -(h_0/p + (h_1/p) pi + ...) times p
-            unit = f.element([-(c // f.p) for c in f.poly[:-1]],
-                             prec=max(1, out.prec))
-            tmp = OElement(f, red, out.prec + f.e - 1) * unit.invert()
+            red = f._reduce_poly([0] * (f.e - 1) + list(out.coeffs))
+            tmp = OElement(f, red, out.prec + f.e - 1) * u
             if any(c % f.p for c in tmp.coeffs):
                 # only possible through precision loss; treat as inexact zero digits
                 raise PrecisionExhausted("division by uniformizer lost all digits")

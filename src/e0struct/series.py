@@ -337,13 +337,12 @@ class Series:
 
     def invert_unit(self, const_inv):
         """Multiplicative inverse; const_inv must be the coefficient-ring
-        inverse of the constant term.  Newton iteration, quadratic."""
-        z = Series.const(self.nvars, self.trunc, const_inv)
-        correct = 1
-        while correct <= self.trunc:
-            # z <- z*(2 - self*z)
-            z = z * (-(self * z)).add_const(2)
-            correct *= 2
+        inverse of the constant term.  Newton iteration z <- z*(2 - self*z)
+        at the truncations newton_levels(trunc)."""
+        z = Series.const(self.nvars, 0, const_inv)
+        for t in newton_levels(self.trunc):
+            zt = Series(self.nvars, t, z.c)
+            z = zt * (-(self.truncate(t) * zt)).add_const(2)
         return z
 
     # -- univariate helpers -------------------------------------------------
@@ -428,6 +427,19 @@ class Series:
         for s in parts[1:]:
             out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
         return out
+
+
+def newton_levels(D, start=0):
+    """Truncation schedule of a Newton iteration whose first approximation
+    is correct through degree start: a step from a level correct through
+    degree c is correct through 2c + 1, so halve backwards from D and hit
+    the final (expensive) level exactly once."""
+    levels = []
+    t = D
+    while t > start:
+        levels.append(t)
+        t //= 2
+    return levels[::-1]
 
 
 def _div_int(v, m):

@@ -8,7 +8,7 @@ from e0struct.classifier import (GroupStructure, classify_congruence,
                                  filtration_base_index, ramified_g_map,
                                  random_normalized_curve, splitting_torsion)
 from e0struct.curve import Transform
-from e0struct.local_field import LocalField
+from e0struct.local_field import LocalField, PrecisionExhausted
 
 from conftest import FIXTURE_COEFFS, make_curve
 
@@ -134,6 +134,23 @@ def test_ramified_exploratory(Q2sqrt2):
                 for v in row:
                     assert Fraction(v).denominator in (1, 2)
     assert seen_torsion == {0, 1}
+
+
+def test_ramified_g_map_refuses_a_short_value(Q2sqrt2, monkeypatch):
+    # [DERIVED] a [p](1) known only mod m^2 leaves log([p](1)) short of
+    # the m/m^{1+e} = m/m^3 the coordinates are read from
+    import e0struct.classifier as classifier
+
+    E = random_normalized_curve(Q2sqrt2, random.Random(3))
+    eval_at = classifier.eval_at
+
+    def short_eval_at(s, x, target):
+        v = eval_at(s, x, target)
+        return v.field.element(v.coeffs, 2)
+
+    monkeypatch.setattr(classifier, "eval_at", short_eval_at)
+    with pytest.raises(PrecisionExhausted):
+        ramified_g_map(E)
 
 
 def test_random_normalized_curve_is_normalized(Q5):

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from e0struct.classifier import classify_general, random_normalized_curve
 from e0struct.formal_group import (compose_bivariate, eval_at, formal_exp,
                                    formal_log, formal_sum, g_polynomial,
                                    generic_mult_by_n, inverse_series,
-                                   specialize, specialized_mult_by_n, w_series)
+                                   specialize, specialized_log,
+                                   specialized_mult_by_n, w_series)
+from e0struct.local_field import LocalField
 from e0struct.series import GENERIC_A, Series, WPoly
 
 from conftest import FIXTURE_COEFFS, make_curve
@@ -148,6 +152,76 @@ def test_specialized_routes_agree(Q3):
         assert v is None or v >= 10
 
 
+# Q_3 and Eisenstein fields over 2, 5, 7, one with a non-pure polynomial
+ROUTE_FIELDS = [(3, None), (2, (-2, 0, 1)), (2, (-2, 2, 1)),
+                (5, (-5, 0, 0, 1)), (7, (-7, 0, 1))]
+
+
+def _route_curve(p, poly):
+    if poly is None:
+        K = LocalField.unramified(p, 1, 14)
+        return make_curve(K, FIXTURE_COEFFS["E3"][1])
+    K = LocalField.eisenstein(p, poly, 12 * (len(poly) - 1))
+    return random_normalized_curve(K, random.Random(p))
+
+
+def _agree(x, y, field, min_prec):
+    """x == y at their shared precision, and that precision is not tiny."""
+    x, y = (v * field.one() if isinstance(v, int) else v for v in (x, y))
+    assert min(x.prec, y.prec) >= min_prec
+    assert x == y
+
+
+@pytest.mark.parametrize("p,poly", ROUTE_FIELDS[1:])
+def test_specialized_routes_agree_eisenstein(p, poly):
+    # [DERIVED] as above, over Eisenstein fields: the chord law on (t, w)
+    # pairs matches the specialized generic [p] coefficient by coefficient
+    E = _route_curve(p, poly)
+    D = 10
+    fast = specialized_mult_by_n(E.a, p, D)
+    generic = specialize(generic_mult_by_n(p, D), E.a, E.field.one())
+    assert fast.trunc == generic.trunc == D
+    for k in range(1, D + 1):
+        _agree(fast.coefficient(k), generic.coefficient(k), E.field,
+               E.field.M - 4)
+
+
+@pytest.mark.parametrize("p,poly", ROUTE_FIELDS)
+def test_specialized_log_matches_generic(p, poly):
+    # [DERIVED] the integral of the invariant differential equals the
+    # specialized generic logarithm, coefficient by coefficient
+    E = _route_curve(p, poly)
+    D = 12
+    fast = specialized_log(E.a, D)
+    one = E.field.one().as_k()
+    generic = specialize(formal_log(GENERIC_A, D),
+                         tuple(ai.as_k() for ai in E.a), one)
+    assert fast.trunc == generic.trunc == D
+    for k in range(1, D + 1):
+        _agree(fast.coefficient(k), generic.coefficient(k), E.field,
+               E.field.M - 4 * E.field.e)
+
+
+def test_ramified_path_composes_nothing(monkeypatch):
+    # [DERIVED] the ramified path reads no generic table and substitutes
+    # no series into another
+    from e0struct import formal_group
+
+    K = LocalField.eisenstein(5, (-5, 0, 0, 1), 36)
+    E = random_normalized_curve(K, random.Random(5))
+    caches = [formal_group._GEN_F, formal_group._GEN_MULT,
+              formal_group._GEN_LOG]
+    before = [dict(c) for c in caches]
+    calls = []
+    compose = Series.compose
+    monkeypatch.setattr(Series, "compose",
+                        lambda *args: calls.append(1) or compose(*args))
+    report = classify_general(E)
+    assert report.method == "ramified-exploratory"
+    assert [dict(c) for c in caches] == before
+    assert calls == []
+
+
 def test_specialized_mult_by_2_fixture(Q2):
     # [DERIVED] for Y^2 + 2Y = X^3 - 2, [2](T) = 2T - 14T^4 + O(T^7)
     E = make_curve(Q2, FIXTURE_COEFFS["E2"][1])
@@ -174,7 +248,6 @@ def test_g_polynomial_fixtures(name, expect, Q2, Q3, Q5, Q7):
 
 def test_g_polynomial_large_p_is_identity():
     # [DERIVED] for p > 7 additive reduction forces g = T
-    from e0struct.local_field import LocalField
     Q11 = LocalField.unramified(11, 1, 10)
     E = make_curve(Q11, (0, 0, 0, 11, 11))
     g = g_polynomial(E)

@@ -104,3 +104,15 @@ def test_zero_division_guard(Q2):
     z = Q2.zero(4).as_k()
     with pytest.raises((PrecisionExhausted, NotInvertible, ZeroDivisionError)):
         Q2.one().as_k() / z
+
+
+@pytest.mark.parametrize("poly", [(-2, 2, 1), (-3, 3, 0, 1)])
+def test_embed_rational_non_pure_eisenstein(poly):
+    # [DERIVED] p = pi^e * u with u a unit other than 1 when the
+    # Eisenstein polynomial has middle terms; rationals must still land
+    # on the integers' own images
+    K = LocalField.eisenstein(-poly[0], poly, 12)
+    p = K.p
+    assert K.embed_integral_rational(6) == K.element([6])
+    assert K.element([p]) == p
+    assert K.embed_rational(Fraction(1, p)) * K.element([p]) == 1

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from e0struct.formal_group import _Scaled
 from e0struct.series import Series, WPoly, key_weight, pack, unpack
 
 
@@ -48,6 +51,21 @@ def test_series_geometric_inverse():
     inv = one_minus_t.invert_unit(1)
     for k in range(9):
         assert inv.coefficient((k,)) == 1
+
+
+@pytest.mark.parametrize("trunc", range(8))
+def test_invert_unit_at_every_truncation(trunc):
+    # [DERIVED] the shared Newton schedule reaches full precision at every
+    # truncation, for Series and for the generic code's _Scaled series
+    s = Series(1, trunc, {(k,): k + 1 for k in range(trunc + 1)})
+    one = Series.const(1, trunc, 1)
+    z = s.invert_unit(1)
+    assert z.trunc == trunc and s * z == one
+    zs = _Scaled(s).invert_unit()
+    assert zs.den == 1 and s * zs.s == one
+    b = Series(2, trunc, {(i, j): i + 2 * j + 1 for i in range(trunc + 1)
+                          for j in range(trunc + 1 - i)})
+    assert b * b.invert_unit(1) == Series.const(2, trunc, 1)
 
 
 def test_series_compose():
