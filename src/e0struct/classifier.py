@@ -8,8 +8,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curve import WeierstrassCurve, normalize_additive, Transform
-from .formal_group import (eval_at, g_polynomial, specialized_log,
-                           specialized_mult_by_n, w_series)
+from .formal_group import (G_TABLE, a_mod_p2, eval_at, g_polynomial,
+                           specialized_log, specialized_mult_by_n, w_series)
 from .local_field import LocalField, PrecisionExhausted
 from .residue_field import additive_poly_roots, ff_norm, _fp_kernel
 
@@ -88,10 +88,6 @@ def _require_normalized(E):
                          "use classify_general for automatic normalization")
 
 
-# closed-form table coefficients c with torsion iff N_{k/F_p}(c) = 1
-_NORM_COEFF = {3: (8, 1), 5: (3, 3), 7: (4, 4)}  # p -> (factor, a-index)
-
-
 def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
     f = E.field
     if f.kind != "unramified":
@@ -102,14 +98,11 @@ def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
     b, roots = additive_poly_roots(g)
     evidence = {"g": [list(c.coeffs) for c in g.coeffs],
                 "kernel_dim": b}
-    if p > 7:
-        if b != 0 or len(g.coeffs) > 1:
-            raise InternalInconsistency(f"p = {p} > 7 but g = {g} is not T")
+    if p not in G_TABLE:  # g = T
         return ClassificationReport(GroupStructure(p, n), "theorem-p>7",
                                     evidence, certified=True)
-    if p in _NORM_COEFF:
-        factor, idx = _NORM_COEFF[p]
-        c = (factor * E.a[idx]).shift_down(1).reduce()
+    if p > 2:  # g = T - c*T^p has a nonzero root iff N_{k/F_p}(c) = 1
+        c = -g.coeffs[1] if len(g.coeffs) > 1 else f.residue.zero
         norm_is_one = bool(c) and ff_norm(c).as_int() == 1
         evidence["norm_criterion"] = norm_is_one
         if norm_is_one != (b == 1) or b > 1:
@@ -125,27 +118,22 @@ def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
         certified=True)
 
 
-# Q_p congruences: p -> (a-index or "a1+a3", modulus, residue)
-_CONGRUENCES = {2: ("a1+a3", 4, 2), 3: (1, 9, 6), 5: (3, 25, 10),
-                7: (4, 49, 14)}
-
-
 def classify_congruence(E: WeierstrassCurve) -> ClassificationReport:
     f = E.field
     if f.kind != "unramified" or f.deg != 1:
         raise ValueError("classify_congruence requires K = Q_p")
     _require_normalized(E)
     p = f.p
-    if p not in _CONGRUENCES:
+    if p not in G_TABLE:
         return ClassificationReport(GroupStructure(p, 1), "corollary-p>7",
                                     {}, certified=True)
-    which, mod, res = _CONGRUENCES[p]
-    if which == "a1+a3":
-        val = (E.a1 + E.a3).coeffs[0]
-        name = "a1+a3"
-    else:
-        val = E.a[which].coeffs[0]
-        name = f"a{(1, 2, 3, 4, 6)[which]}"
+    # over F_p, g = T + sum (c*a_j/p)~ * T^e has the root 1 iff
+    # sum c*a_j = -p mod p^2.  The entries of one p share c mod p (odd p
+    # has one entry, p = 2 has odd c), so that is sum a_j = -p/c mod p^2.
+    terms = G_TABLE[p]
+    mod, res = p * p, p * (-pow(terms[0][2], -1, p) % p)
+    val = sum(a_mod_p2(E, j).coeffs[0] for _, j, _ in terms)
+    name = "+".join(f"a{j}" for _, j, _ in terms)
     fired = val % mod == res
     tag = {2: "i", 3: "ii", 5: "iii", 7: "iv"}[p]
     evidence = {"congruence": f"{name} = {val % mod} mod {mod}",

@@ -18,10 +18,11 @@ from jsonschema.validators import validator_for
 from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
                     psi_E0, reduce_point, reduction_type, filtration_level)
-from .formal_group import (eval_at, generic_group_law, generic_mult_by_n,
-                           specialized_mult_by_n)
+from .formal_group import (G_TABLE, eval_at, generic_group_law,
+                           generic_mult_by_n, specialized_mult_by_n)
 from .local_field import LocalField
 from .oracle import compare
+from .residue_field import is_prime
 
 EXIT_OK, EXIT_ERROR, EXIT_EXPLORATORY = 0, 1, 2
 SYMBOLIC_DEGREE_BOUND = 24
@@ -215,7 +216,8 @@ def normalize(input, precision, as_json):
 
 @main.command("formal-group")
 @click.option("--p", "p", type=int, default=None,
-              help="Also print g = [p](T)/p mod m for p in {2,3,5,7}.")
+              help="Also print g = [p](T)/p mod m for a prime p, read "
+                   "from the closed-form table (g = T for p > 7).")
 @click.option("--n-series", type=int, default=2,
               help="Which multiplication series [n] to print.")
 @click.option("--degree", type=int, default=6,
@@ -226,8 +228,12 @@ def formal_group(p, n_series, degree, as_json):
     if degree > SYMBOLIC_DEGREE_BOUND:
         _fail(f"degree {degree} exceeds symbolic bound "
               f"{SYMBOLIC_DEGREE_BOUND}", as_json)
+    if degree < 0:
+        _fail("--degree must be >= 0", as_json)
     if n_series < 1:
         _fail("--n-series must be >= 1", as_json)
+    if p is not None and not is_prime(p):
+        _fail(f"--p {p} is not prime", as_json)
     F = generic_group_law(min(degree, 6))
     mn = generic_mult_by_n(n_series, degree)
     payload = {"F": F.pretty(("X", "Y")),
@@ -236,35 +242,15 @@ def formal_group(p, n_series, degree, as_json):
              f"[{n_series}](T) = {payload['mult']['series']}"
              f" + O(T^{degree + 1})"]
     if p is not None:
-        if p in (2, 3, 5, 7):
-            gl = _generic_g_line(p)
-            payload["g"] = gl
-            lines.append(f"g = {gl}")
-        else:
-            payload["g"] = "T"
-            lines.append("g = T (no torsion contribution for p > 7)")
+        g = "T"
+        for e, j, c in G_TABLE.get(p, ()):
+            r = -c % p
+            head = f"{r}*" if r != 1 else ""
+            g += f" - ({head}a{j}/{p})~ * T^{e}"
+        payload["g"] = g
+        lines.append(f"g = {g}" if p in G_TABLE
+                     else "g = T (no torsion contribution for p > 7)")
     _emit(payload, lines, as_json)
-
-
-def _generic_g_line(p: int) -> str:
-    """g = [p](T)/p mod m as a string, e.g. 'T - (3*a4/5)~ * T^5'."""
-    mp = generic_mult_by_n(p, 8)
-    names = {1: "a1", 2: "a2", 3: "a3", 4: "a4", 6: "a6"}
-    out = "T"
-    i = p
-    while i <= 8:
-        c = mp.c.get((i,))
-        if c is not None:
-            for exps, b in sorted(c.items()):
-                if sum(exps) != 1:
-                    continue  # >= 2 a-factors vanish mod m after /p
-                w = (1, 2, 3, 4, 6)[exps.index(1)]
-                r = (-b) % p
-                if r:
-                    head = f"{r}*" if r != 1 else ""
-                    out += f" - ({head}{names[w]}/{p})~ * T^{i}"
-        i *= p
-    return out
 
 
 @main.command("verify-point")
@@ -276,6 +262,8 @@ def _generic_g_line(p: int) -> str:
 def verify_point(input, precision, as_json):
     """Check each descriptor point: on-curve, E_0 membership, filtration
     level, and torsion order."""
+    if precision < 1:
+        _fail("--precision must be >= 1", as_json)
     desc = load_descriptor(_read_input(input))
     field = build_field(desc, None)
     E = build_curve(field, desc)
@@ -313,27 +301,25 @@ def _verify_one(E, report, raw, precision, tr=None):
                     "text": "not in E_0 (reduces to singular point)"})
         return out
     level = filtration_level(E, P)
-    psi = psi_E0(E, P)
-    p = field.p
-    mp = specialized_mult_by_n(E.a, p, 6 * precision)
-    torsion = None
-    val = psi
-    for j in (1, 2):
-        val = eval_at(mp, val, precision)
-        if val.is_zero_at_precision():
-            torsion = p ** j
-            break
     out.update({"in_E0": True, "level": level})
-    if torsion is not None:
-        out["order"] = torsion
-        out["text"] = f"in E_0, level {level}, {torsion}-torsion"
-    elif not report.structure.torsion and report.certified:
+    if report.certified and not report.structure.torsion:
+        # E_0(K) is pro-p, so in a certified torsion-free group every
+        # point but the identity has infinite order
         out["order"] = "infinite"
         out["text"] = (f"in E_0, level {level}, infinite order "
                        f"(group is {report.structure})")
-    else:
-        out["order"] = f"not p^j-torsion for j <= 2 (mod m^{precision})"
-        out["text"] = f"in E_0, level {level}, {out['order']}"
+        return out
+    p = field.p
+    mp = specialized_mult_by_n(E.a, p, 6 * precision)
+    val = psi_E0(E, P)
+    for j in (1, 2):
+        val = eval_at(mp, val, precision)
+        if val.is_zero_at_precision():
+            out["order"] = p ** j
+            out["text"] = f"in E_0, level {level}, {p ** j}-torsion"
+            return out
+    out["order"] = f"not p^j-torsion for j <= 2 (mod m^{precision})"
+    out["text"] = f"in E_0, level {level}, {out['order']}"
     return out
 
 
@@ -347,6 +333,8 @@ def _verify_one(E, report, raw, precision, tr=None):
 def oracle(input, level, precision, as_json):
     """Compare the certified classification against the brute-force
     finite-quotient oracle at level M."""
+    if level < 1:
+        _fail("-m/--level must be >= 1", as_json)
     desc = load_descriptor(_read_input(input))
     field = build_field(desc, precision)
     E = build_curve(field, desc)

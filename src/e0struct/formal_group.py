@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .local_field import PrecisionExhausted
 from .residue_field import AdditivePoly
 from .series import (GENERIC_A, Series, WPoly, _is_zero_coeff,
                      newton_levels)
@@ -433,16 +434,34 @@ def eval_at(s: Series, x, target_prec: int):
     return f.element(acc.coeffs, target_prec)
 
 
-# exponents of [p] that can survive in g = [p]/p mod p: the coefficient
-# b_i is homogeneous of weight i-1, so for i-1 > 6 every monomial has at
-# least two a-factors and lands in p^2 O_K
-_G_DEGREE = 8
+# g = [p](T)/p mod m_K in closed form.  b_i in [p](T) is homogeneous of
+# weight i - 1 in Z[a1, ..., a6] and every a_j lies in m_K, so after the
+# division by p only monomials linear in a single a_j can survive, and
+# their integer coefficients are divisible by p except at the entries
+# below (the tests check this against the generic [p]).
+# p -> ((exponent, j, coefficient of a_j*T^exponent in [p]), ...); a prime
+# not listed has g = T.
+G_TABLE = {2: ((2, 1, -1), (4, 3, -7)), 3: ((3, 2, -8),),
+           5: ((5, 4, -1248),), 7: ((7, 6, -352944),)}
+
+
+def a_mod_p2(curve, j: int):
+    """a_j of an unramified curve, checked to be known mod p^2: g reads
+    its digit a_j/p mod p."""
+    a = curve.a[(1, 2, 3, 4, 6).index(j)]
+    p = curve.field.p
+    if a.prec < 2:
+        raise PrecisionExhausted(
+            f"g reads a{j} mod {p}^2, but a{j} is known only mod {p}^{a.prec}")
+    return a
 
 
 def g_polynomial(curve) -> AdditivePoly:
-    """g = [p](T)/p reduced mod m_K, as an additive polynomial over k.
+    """g = [p](T)/p reduced mod m_K, as an additive polynomial over k:
+    T plus (c*a_j/p)~ * T^e for each G_TABLE entry (e, j, c) of p.
 
-    Requires an unramified base field and all a_i in m_K."""
+    Requires an unramified base field, all a_i in m_K, and each a_j read
+    known mod p^2 (PrecisionExhausted otherwise)."""
     f = curve.field
     p = f.p
     if f.kind != "unramified":
@@ -450,28 +469,14 @@ def g_polynomial(curve) -> AdditivePoly:
     for ai in curve.a:
         if ai.valuation_or_none() == 0:
             raise ValueError("g_polynomial requires all a_i in m_K")
-    mp = generic_mult_by_n(p, _G_DEGREE)
-    one = f.one()
-    s = specialize(mp, curve.a, one)
-    residues = {}
-    for i in range(1, _G_DEGREE + 1):
-        b = s.coefficient(i)
-        if isinstance(b, int):
-            r = f.residue.element(b // p)
-        else:
-            r = b.shift_down(1).reduce()
-        if r:
-            residues[i] = r
-    powers_of_p = []
+    terms = {1: f.residue.one}
+    for e, j, c in G_TABLE.get(p, ()):
+        terms[e] = c * a_mod_p2(curve, j).shift_down(1).reduce()
+    coeffs = []
     q = 1
-    while q <= _G_DEGREE:
-        powers_of_p.append(q)
+    while q <= max(terms):
+        coeffs.append(terms.get(q, f.residue.zero))
         q *= p
-    bad = set(residues) - set(powers_of_p)
-    if bad:
-        raise AssertionError(
-            f"g not additive: non-p-power exponents {sorted(bad)} survive")
-    coeffs = [residues.get(q, f.residue.zero) for q in powers_of_p]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return AdditivePoly(f.residue, coeffs)

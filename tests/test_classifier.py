@@ -158,3 +158,53 @@ def test_random_normalized_curve_is_normalized(Q5):
     for _ in range(10):
         E = random_normalized_curve(Q5, rng)
         assert E.is_normalized()
+
+
+def _monotonicity_models():
+    """(p, n, a) integer models: the fixtures over their Q_p, E2, E3 and
+    E7 over F_{p^2}, and three seeded a_i = p*r, r < p^3, per (p, n)."""
+    models = [pytest.param(p, 1, a, id=name)
+              for name, (p, a) in FIXTURE_COEFFS.items()]
+    for name in ("E2", "E3", "E7"):
+        p, a = FIXTURE_COEFFS[name]
+        models.append(pytest.param(p, 2, a, id=f"{name}-n2"))
+    rng = random.Random(12)
+    for p in (2, 3, 5, 7):
+        for n in (1, 2):
+            K = LocalField.unramified(p, n, 12)
+            for i in range(3):
+                while True:
+                    a = tuple(p * rng.randrange(p ** 3) for _ in range(5))
+                    try:
+                        make_curve(K, a)
+                        break
+                    except PrecisionExhausted:
+                        continue
+                models.append(pytest.param(p, n, a, id=f"p{p}-n{n}-{i}"))
+    return models
+
+
+@pytest.mark.parametrize("p, n, a", _monotonicity_models())
+def test_certified_answer_is_monotone_in_precision(p, n, a):
+    # [DERIVED] a certified answer at precision M is the one at M = 12,
+    # or the classifier says the digits are not there
+    def classify(M):
+        return classify_general(make_curve(LocalField.unramified(p, n, M), a))
+
+    top = classify(12)
+    assert top.certified
+    for M in range(1, 12):
+        try:
+            r = classify(M)
+        except PrecisionExhausted:
+            continue
+        assert (r.structure, r.method) == (top.structure, top.method), M
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_E2_at_precision_1_is_exhausted(n):
+    # a1 = 0 is known mod 2 only; corollary (i) over Q_2 and g over Q_4
+    # read a1/2 mod 2
+    E = make_curve(LocalField.unramified(2, n, 1), FIXTURE_COEFFS["E2"][1])
+    with pytest.raises(PrecisionExhausted, match=r"a1 mod 2\^2"):
+        classify_general(E)

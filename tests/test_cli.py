@@ -106,6 +106,22 @@ def test_formal_group_command(runner):
     assert lines[-1] == "g = T - (3*a4/5)~ * T^5"
 
 
+@pytest.mark.parametrize("p, line", [
+    (2, "g = T - (a1/2)~ * T^2 - (a3/2)~ * T^4"),
+    (3, "g = T - (2*a2/3)~ * T^3"),
+    (5, "g = T - (3*a4/5)~ * T^5"),
+    (7, "g = T - (4*a6/7)~ * T^7"),
+    (11, "g = T (no torsion contribution for p > 7)"),
+], ids=["p2", "p3", "p5", "p7", "p11"])
+def test_formal_group_g_line(runner, p, line):
+    # the output of the generic [p] route this table replaced
+    res = runner.invoke(main, ["formal-group", "--p", str(p)])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == line
+    res = runner.invoke(main, ["formal-group", "--p", str(p), "--json"])
+    assert json.loads(res.output)["g"] == ("T" if p > 7 else line[4:])
+
+
 def test_formal_group_degree_cap(runner):
     res = runner.invoke(main, ["formal-group", "--p", "3", "--degree", "99"])
     assert res.exit_code == 1
@@ -123,6 +139,18 @@ def test_verify_point_infinite_order(runner, tmp_path):
             "a": [0, 0, 0, 0, -2], "precision": 12,
             "points": [{"x": 3, "y": 5}]}
     res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc)])
+    assert res.exit_code == 0
+    assert res.output == "in E_0, level 0, infinite order (group is Z_2)\n"
+
+
+def test_verify_point_certified_torsion_free_at_precision_1(runner, tmp_path):
+    # the group Z_2 is certified torsion-free, so the [2^j] congruences
+    # mod m^1 (which every point of E_1 satisfies) are not read
+    desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
+            "a": [0, 0, 0, 0, -2], "precision": 12,
+            "points": [{"x": 3, "y": 5}]}
+    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc),
+                               "--precision", "1"])
     assert res.exit_code == 0
     assert res.output == "in E_0, level 0, infinite order (group is Z_2)\n"
 
@@ -186,25 +214,67 @@ def test_oracle_command_cubic_residue_field(runner, desc, expected):
     assert res.output == expected
 
 
+E7_F49_M1 = {"p": 7, "field": {"kind": "unramified", "n": 2},
+             "a": [7, 0, -28, 7, -35], "precision": 1}
+
+
+def test_classify_E7_over_F49_at_precision_1(runner):
+    # g reads a6 = -35, which is known mod 49 even at precision 1
+    res = runner.invoke(main, ["classify", "-"], input=json.dumps(E7_F49_M1))
+    assert res.exit_code == 0
+    assert res.output == "Z_7^2 x Z/7Z, method: theorem-unramified, certified\n"
+
+
+def test_internal_inconsistency_is_a_clean_error(runner, monkeypatch):
+    # a kernel dimension the norm criterion rules out raises
+    # InternalInconsistency, an AssertionError, which ends as exit 1
+    import e0struct.classifier as classifier
+
+    monkeypatch.setattr(classifier, "additive_poly_roots",
+                        lambda g: (2, []))
+    desc = dict(E7_F49_M1, precision=12)
+    res = runner.invoke(main, ["classify", "-"], input=json.dumps(desc))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: norm criterion (True) disagrees "
+                                 "with kernel dimension 2")
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("argv, desc, message", [
-    (["classify", "-"],
-     {"p": 7, "field": {"kind": "unramified", "n": 2},
-      "a": [7, 0, -28, 7, -35], "precision": 1},
-     "error: norm criterion (True) disagrees with kernel dimension 0"),
     (["oracle", "-", "-m", "1"],
      {"p": 1087, "field": {"kind": "unramified", "n": 1},
       "a": [1087] * 5, "precision": 4},
      "error: "),
-], ids=["classify-E7-F49-M1", "oracle-p1087-M1"])
+], ids=["oracle-p1087-M1"])
 def test_internal_failure_is_a_clean_error(runner, argv, desc, message):
-    # AssertionError subclasses end as exit 1 and an error line; the
-    # p = 1087 model is refused because its worst-case intermediate
+    # the p = 1087 model is refused because its worst-case intermediate
     # exceeds int64
     res = runner.invoke(main, argv, input=json.dumps(desc))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith(message)
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "-", "-m", "0"], "-m/--level must be >= 1"),
+    (["oracle", "-", "-m", "-1"], "-m/--level must be >= 1"),
+    (["formal-group", "--p", "4"], "--p 4 is not prime"),
+    (["formal-group", "--p", "9"], "--p 9 is not prime"),
+    (["formal-group", "--p", "1"], "--p 1 is not prime"),
+    (["formal-group", "--p", "-3"], "--p -3 is not prime"),
+    (["formal-group", "--degree", "-1"], "--degree must be >= 0"),
+    (["verify-point", "-", "--precision", "0"],
+     "--precision must be >= 1"),
+], ids=["oracle-m0", "oracle-m-1", "p4", "p9", "p1", "p-3", "degree-1",
+        "verify-precision0"])
+def test_out_of_range_option_is_an_error(runner, argv, message):
+    desc = dict(E2_DESC, points=[{"x": 1, "y": -1}])
+    res = runner.invoke(main, argv, input=json.dumps(desc))
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
 
 
 def _unnormalized(p, n, a, rst):

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from e0struct.classifier import classify_general, random_normalized_curve
-from e0struct.formal_group import (compose_bivariate, eval_at, formal_exp,
-                                   formal_log, formal_sum, g_polynomial,
-                                   generic_mult_by_n, inverse_series,
-                                   specialize, specialized_log,
-                                   specialized_mult_by_n, w_series)
+from e0struct.formal_group import (G_TABLE, compose_bivariate, eval_at,
+                                   formal_exp, formal_log, formal_sum,
+                                   g_polynomial, generic_mult_by_n,
+                                   inverse_series, specialize,
+                                   specialized_log, specialized_mult_by_n,
+                                   w_series)
 from e0struct.local_field import LocalField
 from e0struct.series import GENERIC_A, Series, WPoly
 
@@ -252,6 +253,68 @@ def test_g_polynomial_large_p_is_identity():
     E = make_curve(Q11, (0, 0, 0, 11, 11))
     g = g_polynomial(E)
     assert [c.as_int() for c in g.coeffs] == [1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_g_table_is_the_linear_part_of_generic_mult(p):
+    # [DERIVED] after division by p, only monomials linear in one a_j can
+    # survive mod m_K (b_i has weight i - 1); their coefficients are the
+    # table's at p-power degrees and divisible by p everywhere else
+    mp = generic_mult_by_n(p, 8)
+    table = {(e, j): c for e, j, c in G_TABLE[p]}
+    for i in range(1, 9):
+        b = mp.coefficient((i,))
+        for idx, j in enumerate((1, 2, 3, 4, 6)):
+            exps = tuple(int(k == idx) for k in range(5))
+            c = b.coefficient(exps) if isinstance(b, WPoly) else 0
+            if (i, j) in table:
+                assert c == table[(i, j)] and c % p, (i, j)
+            else:
+                assert c % p == 0, (i, j, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_g_polynomial_matches_specialized_generic_mult(p):
+    # [DERIVED] the old computation as reference: residues of b_i/p read
+    # from the generic [p] specialized at the curve
+    mp = generic_mult_by_n(p, 8)
+    for n in (1, 2):
+        K = LocalField.unramified(p, n, 12)
+        rng = random.Random(100 * p + n)
+        for _ in range(20):
+            E = random_normalized_curve(K, rng)
+            s = specialize(mp, E.a, K.one())
+            residues = {}
+            for i in range(1, 9):
+                r = s.coefficient((i,)).shift_down(1).reduce()
+                if r:
+                    residues[i] = r
+            powers = [q for q in (1, p, p * p, p ** 3) if q <= 8]
+            assert set(residues) <= set(powers)
+            expect = [residues.get(q, K.residue.zero) for q in powers]
+            while len(expect) > 1 and not expect[-1]:
+                expect.pop()
+            assert list(g_polynomial(E).coeffs) == expect
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (2, 2), (7, 2)])
+def test_unramified_classify_reads_no_generic_table(p, n, monkeypatch):
+    # [DERIVED] g comes from G_TABLE: no generic table is built or
+    # specialized on the unramified path
+    from e0struct import formal_group
+
+    K = LocalField.unramified(p, n, 12)
+    caches = [formal_group._GEN_F, formal_group._GEN_MULT,
+              formal_group._GEN_LOG]
+    before = [dict(c) for c in caches]
+    calls = []
+    monkeypatch.setattr(formal_group, "specialize",
+                        lambda *args: calls.append(1) or specialize(*args))
+    rng = random.Random(p + n)
+    for _ in range(5):
+        classify_general(random_normalized_curve(K, rng))
+    assert [dict(c) for c in caches] == before
+    assert calls == []
 
 
 def test_eval_at_stable_under_degree(Q2):
