@@ -309,18 +309,32 @@ def _verify_one(E, report, raw, precision, tr=None):
         out["text"] = (f"in E_0, level {level}, infinite order "
                        f"(group is {report.structure})")
         return out
-    p = field.p
+    order = _torsion_order(E, P, precision)
+    if order is not None and precision < field.M:
+        # [p](T) is 0 mod m for every T in m, so a congruence below the
+        # descriptor's precision M holds for points of infinite order too:
+        # a torsion label needs the congruence at M
+        precision = field.M
+        order = _torsion_order(E, P, precision)
+    if order is not None:
+        out["order"] = order
+        out["text"] = f"in E_0, level {level}, {order}-torsion"
+        return out
+    out["order"] = f"not p^j-torsion for j <= 2 (mod m^{precision})"
+    out["text"] = f"in E_0, level {level}, {out['order']}"
+    return out
+
+
+def _torsion_order(E, P, precision):
+    """p^j for the least j <= 2 with [p^j]P = O mod m^precision, or None."""
+    p = E.field.p
     mp = specialized_mult_by_n(E.a, p, 6 * precision)
     val = psi_E0(E, P)
     for j in (1, 2):
         val = eval_at(mp, val, precision)
         if val.is_zero_at_precision():
-            out["order"] = p ** j
-            out["text"] = f"in E_0, level {level}, {p ** j}-torsion"
-            return out
-    out["order"] = f"not p^j-torsion for j <= 2 (mod m^{precision})"
-    out["text"] = f"in E_0, level {level}, {out['order']}"
-    return out
+            return p ** j
+    return None
 
 
 @main.command()

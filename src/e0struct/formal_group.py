@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from .local_field import PrecisionExhausted
 from .residue_field import AdditivePoly
-from .series import (GENERIC_A, Series, WPoly, _is_zero_coeff,
+from .series import (GENERIC_A, Series, WPoly, _is_zero_coeff, dot,
                      newton_levels)
 
 
@@ -23,32 +23,26 @@ class TruncationInsufficient(ArithmeticError):
 
 
 def w_series(a, D: int) -> Series:
-    """w(t) = t^3 + ... solved degreewise from the curve equation."""
+    """w(t) = t^3 + ... solved degreewise from the curve equation, with
+    running coefficients of w^2 so that each coefficient of w^2 and w^3
+    is one dot product."""
     a1, a2, a3, a4, a6 = a
     c = {3: 1}
+    w2 = {}
     for n in range(4, D + 1):
-        v = 0
-        if n - 1 in c:
-            v = v + a1 * c[n - 1]
-        if n - 2 in c:
-            v = v + a2 * c[n - 2]
-        # (w^2)_n and (w^2)_{n-1}: lowest contributing index is 3
-        for m, coeff in ((n, a3), (n - 1, a4)):
-            s = 0
-            for i in range(3, m - 2):
-                if i in c and m - i in c:
-                    s = s + c[i] * c[m - i]
-            if not _is_zero_coeff(s):
-                v = v + coeff * s
-        # (w^3)_n
-        s = 0
-        for i in range(3, n - 5):
-            for j in range(3, n - i - 2):
-                kk = n - i - j
-                if kk >= 3 and i in c and j in c and kk in c:
-                    s = s + c[i] * c[j] * c[kk]
+        # w vanishes below degree 3 and w^2 below degree 6; c[n] is
+        # still unknown, and w^2's degree-n coefficient does not need it
+        s = dot([(c[i], c[n - i]) for i in range(3, n - 2)
+                 if i in c and n - i in c])
         if not _is_zero_coeff(s):
-            v = v + a6 * s
+            w2[n] = s
+        s3 = dot([(c[i], w2[n - i]) for i in range(3, n - 5)
+                  if i in c and n - i in w2])
+        v = 0
+        for coeff, x in ((a1, c.get(n - 1)), (a2, c.get(n - 2)),
+                         (a3, w2.get(n)), (a4, w2.get(n - 1)), (a6, s3)):
+            if x is not None and not _is_zero_coeff(x):
+                v = v + coeff * x
         if not _is_zero_coeff(v):
             c[n] = v
     return Series(1, D, {(n,): v for n, v in c.items()})

@@ -35,6 +35,21 @@ def _vp(c: int, p: int) -> float:
     return v
 
 
+def product_prec(pa, va, pb, vb):
+    """Known precision of a*b, for a known mod m_K^pa with v_K(a) = va
+    and b likewise: a*b is known mod m_K^min(pa + vb, pb + va).  An
+    apparent zero enters with its precision as its valuation."""
+    return min(pa + vb, pb + va)
+
+
+def _add_product(acc, xs, ys):
+    """acc += xs * ys, as polynomials in the generator (no reduction)."""
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                acc[i + j] += x * y
+
+
 class LocalField:
     """A finite extension K/Q_p, either unramified or Eisenstein.
 
@@ -73,6 +88,7 @@ class LocalField:
         self.n = self.e * self.f
         self.deg = len(self.poly) - 1
         self._moduli = {}
+        self._p_units = {}
         self.M = M if M is not None else 12 * self.e
         if self.M < 1:
             raise ValueError("working precision must be >= 1")
@@ -128,10 +144,14 @@ class LocalField:
 
     def p_unit(self, prec):
         """The unit u = p / pi^e of an Eisenstein field, known mod
-        m_K^prec: the Eisenstein relation pi^e = -(h_0 + h_1 pi + ... +
-        h_{e-1} pi^{e-1}) makes 1/u = -(h_0 + h_1 pi + ...)/p."""
-        return self.element([-(c // self.p) for c in self.poly[:-1]],
-                            prec=prec).invert()
+        m_K^prec and computed once per prec: the Eisenstein relation
+        pi^e = -(h_0 + h_1 pi + ... + h_{e-1} pi^{e-1}) makes
+        1/u = -(h_0 + h_1 pi + ...)/p."""
+        u = self._p_units.get(prec)
+        if u is None:
+            u = self._p_units[prec] = self.element(
+                [-(c // self.p) for c in self.poly[:-1]], prec=prec).invert()
+        return u
 
     @property
     def uniformizer(self) -> "OElement":
@@ -187,6 +207,41 @@ class LocalField:
             raise ValueError(f"{q} is not integral at p={self.p}")
         return self.embed_rational(q, prec=prec).integral_part()
 
+    # -- sums of products ---------------------------------------------------
+
+    def dot(self, pairs):
+        """sum(a * b for a, b in pairs), for OElements and ints, as one
+        OElement: the raw integer products are added up and reduced
+        modulo the defining polynomial once, and the precision is the
+        least product_prec over the pairs, as a fold of OElement products
+        would give when no partial sum cancels.  An int meets an OElement
+        known to max(its prec, M), as OElement._coerce makes it; a sum of
+        int products alone stays an int."""
+        acc = [0] * (2 * self.deg - 1)
+        prec = None
+        exact = 0
+        for a, b in pairs:
+            if type(a) is int:
+                if type(b) is int:
+                    exact += a * b
+                    continue
+                a, b = b, a
+            if type(b) is int:
+                pb = max(a.prec, self.M)
+                q = product_prec(a.prec, a._vmin(),
+                                 pb, min(self.e * _vp(b, self.p), pb))
+                for i, x in enumerate(a.coeffs):
+                    acc[i] += b * x
+            else:
+                q = product_prec(a.prec, a._vmin(), b.prec, b._vmin())
+                _add_product(acc, a.coeffs, b.coeffs)
+            if prec is None or q < prec:
+                prec = q
+        if prec is None:
+            return exact
+        acc[0] += exact
+        return OElement(self, self._reduce_poly(acc), prec)
+
     # -- reduction of polynomial representatives ---------------------------
 
     def _reduce_poly(self, coeffs):
@@ -209,7 +264,7 @@ class OElement:
     power basis of the defining generator, canonically reduced.
     """
 
-    __slots__ = ("field", "coeffs", "prec")
+    __slots__ = ("field", "coeffs", "prec", "_v")
 
     def __init__(self, field: LocalField, coeffs, prec):
         if prec < 0:
@@ -218,6 +273,7 @@ class OElement:
         self.prec = prec
         self.coeffs = tuple(
             c % m for c, m in zip(coeffs, field.coeff_moduli(prec)))
+        self._v = -1  # min(valuation, prec), filled in by _vmin
 
     # -- inspection ---------------------------------------------------------
 
@@ -230,19 +286,26 @@ class OElement:
     def is_zero_at_precision(self):
         return not any(self.coeffs)
 
+    def _vmin(self):
+        """min(v_K, prec): the valuation, or prec for an apparent zero.
+        An OElement never changes, so this is computed once."""
+        v = self._v
+        if v < 0:
+            f = self.field
+            v = self.prec
+            for i, c in enumerate(self.coeffs):
+                if c:
+                    # unramified basis powers are units; Eisenstein ones
+                    # carry valuation i
+                    off = i if f.kind == "eisenstein" else 0
+                    v = min(v, f.e * _vp(c, f.p) + off)
+            self._v = v
+        return v
+
     def valuation_or_none(self):
         """v_K of the element, or None when it vanishes at known precision."""
-        f = self.field
-        best = INFINITY
-        for i, c in enumerate(self.coeffs):
-            if c:
-                # unramified basis powers are units; Eisenstein ones carry
-                # valuation i
-                off = i if f.kind == "eisenstein" else 0
-                best = min(best, f.e * _vp(c, f.p) + off)
-        if best >= self.prec:
-            return None
-        return best
+        v = self._vmin()
+        return None if v >= self.prec else v
 
     def valuation(self) -> int:
         v = self.valuation_or_none()
@@ -305,17 +368,10 @@ class OElement:
             return NotImplemented
         f = self.field
         prod = [0] * (2 * f.deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    prod[i + j] += a * b
-        coeffs = f._reduce_poly(prod)
-        va = self.valuation_or_none()
-        va = self.prec if va is None else va
-        vb = o.valuation_or_none()
-        vb = o.prec if vb is None else vb
-        prec = min(self.prec + vb, o.prec + va)
-        return OElement(f, coeffs, prec)
+        _add_product(prod, self.coeffs, o.coeffs)
+        return OElement(f, f._reduce_poly(prod),
+                        product_prec(self.prec, self._vmin(),
+                                     o.prec, o._vmin()))
 
     __rmul__ = __mul__
 

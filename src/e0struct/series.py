@@ -2,14 +2,20 @@
 Z[a1,a2,a3,a4,a6] with wt(ai) = i.
 
 Series coefficients are duck-typed: plain ints and Fractions, WPoly for
-generic computations, OElements after specialization, finite-field
-elements after reduction.  int is the universal scalar that every
-coefficient type accepts on either side.
+generic computations, finite-field elements after reduction.  int is
+the universal scalar that every coefficient type accepts on either side.
+Coefficients in O_K (OElements, with ints beside them) take another
+road through products: Series.__mul__, dot and invert_unit hand each
+output coefficient to the sum-of-products kernel LocalField.dot, which
+adds the raw integer products, reduces once and builds one OElement.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+
+from .local_field import OElement
 
 # packed monomial keys: 6 bits per exponent, variables a1,a2,a3,a4,a6
 _BITS = 6
@@ -193,6 +199,30 @@ A1, A2, A3, A4, A6 = (WPoly.var(i) for i in (1, 2, 3, 4, 6))
 GENERIC_A = (A1, A2, A3, A4, A6)
 
 
+def _o_k_field(coeffs):
+    """The field of the O_K coefficients when every coefficient is an
+    OElement or an int and one is an OElement, else None."""
+    field = None
+    for v in coeffs:
+        if type(v) is OElement:
+            field = v.field
+        elif type(v) is not int:
+            return None
+    return field
+
+
+def dot(pairs):
+    """sum(a * b for a, b in pairs): one LocalField.dot for O_K
+    coefficients, a plain fold otherwise."""
+    field = _o_k_field(x for pair in pairs for x in pair)
+    if field is not None:
+        return field.dot(pairs)
+    s = 0
+    for a, b in pairs:
+        s = s + a * b
+    return s
+
+
 def _is_zero_coeff(c):
     if isinstance(c, (int, Fraction)):
         return c == 0
@@ -308,6 +338,20 @@ class Series:
         items1 = [(k, sum(k), v) for k, v in self.c.items()]
         items2 = [(k, sum(k), v) for k, v in other.c.items()]
         items2.sort(key=lambda t: t[1])
+        field = _o_k_field(chain(self.c.values(), other.c.values()))
+        if field is not None:
+            # group the term pairs by output monomial; one kernel dot each
+            pairs = {}
+            for k1, d1, v1 in items1:
+                room = D - d1
+                for k2, d2, v2 in items2:
+                    if d2 > room:
+                        break
+                    k = ((d1 + d2,) if self.nvars == 1
+                         else tuple(a + b for a, b in zip(k1, k2)))
+                    pairs.setdefault(k, []).append((v1, v2))
+            return Series(self.nvars, D,
+                          {k: field.dot(ps) for k, ps in pairs.items()})
         out = {}
         for k1, d1, v1 in items1:
             room = D - d1
@@ -337,13 +381,26 @@ class Series:
 
     def invert_unit(self, const_inv):
         """Multiplicative inverse; const_inv must be the coefficient-ring
-        inverse of the constant term.  Newton iteration z <- z*(2 - self*z)
-        at the truncations newton_levels(trunc)."""
-        z = Series.const(self.nvars, 0, const_inv)
-        for t in newton_levels(self.trunc):
-            zt = Series(self.nvars, t, z.c)
-            z = zt * (-(self.truncate(t) * zt)).add_const(2)
-        return z
+        inverse of the constant term.  Solved from self*z = 1 monomial by
+        monomial in order of degree, z_k = -const_inv * sum s_j z_(k-j)
+        over 0 < j <= k, each sum one dot."""
+        uni = self.nvars == 1
+        terms = sorted((sum(j), j, v) for j, v in self.c.items() if any(j))
+        z = {(0,) * self.nvars: const_inv}
+        for d in range(1, self.trunc + 1):
+            for k in _monomials(self.nvars, d):
+                pairs = []
+                for dj, j, v in terms:
+                    if dj > d:
+                        break
+                    r = z.get((d - dj,) if uni
+                              else tuple(a - b for a, b in zip(k, j)))
+                    if r is not None:
+                        pairs.append((v, r))
+                s = dot(pairs)
+                if not _is_zero_coeff(s):
+                    z[k] = -(const_inv * s)
+        return Series(self.nvars, self.trunc, z)
 
     # -- univariate helpers -------------------------------------------------
 
@@ -427,6 +484,14 @@ class Series:
         for s in parts[1:]:
             out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
         return out
+
+
+def _monomials(nvars, d):
+    """Exponent tuples of total degree d in nvars variables."""
+    if nvars == 1:
+        return [(d,)]
+    return [(i,) + rest for i in range(d, -1, -1)
+            for rest in _monomials(nvars - 1, d - i)]
 
 
 def newton_levels(D, start=0):

@@ -7,7 +7,9 @@ from e0struct.classifier import (GroupStructure, classify_congruence,
                                  classify_general, classify_unramified,
                                  filtration_base_index, ramified_g_map,
                                  random_normalized_curve, splitting_torsion)
+from e0struct.cli import build_curve, build_field
 from e0struct.curve import Transform
+from e0struct.formal_group import TruncationInsufficient
 from e0struct.local_field import LocalField, PrecisionExhausted
 
 from conftest import FIXTURE_COEFFS, make_curve
@@ -199,6 +201,44 @@ def test_certified_answer_is_monotone_in_precision(p, n, a):
         except PrecisionExhausted:
             continue
         assert (r.structure, r.method) == (top.structure, top.method), M
+
+
+# one curve over each Eisenstein field of the ramified benchmark, in the
+# descriptor form (a_i as coefficient vectors in pi); the first has
+# torsion Z/2Z, the others are torsion-free
+RAMIFIED_MODELS = [
+    (2, [-2, 0, 1], [[6, 7], [10, 4], [0, 4], [12, 2], [4, 5]]),
+    (2, [-2, 2, 1], [[6, 0], [8, 0], [0, 1], [12, 0], [0, 0]]),
+    (5, [-5, 0, 0, 1], [[615, 2, 36], [530, 67, 86], [365, 17, 39],
+                        [185, 100, 80], [20, 61, 6]]),
+    (7, [-7, 0, 1], [[322, 68], [196, 45], [364, 39], [224, 50],
+                     [217, 197]]),
+]
+
+
+def test_ramified_answer_is_monotone_in_precision():
+    # [DERIVED] at every precision M up to 12e the exploratory answer is
+    # the one at 12e, or a clean refusal for want of digits or degree
+    for p, poly, a in RAMIFIED_MODELS:
+        desc = {"p": p, "field": {"kind": "eisenstein", "poly": poly},
+                "a": a}
+        e = len(poly) - 1
+
+        def answer(M):
+            r = classify_general(build_curve(build_field(desc, M), desc))
+            return (r.structure, r.evidence["g_image_coords"],
+                    r.evidence.get("lattice_basis"))
+
+        top = answer(12 * e)
+        answered = 0
+        for M in range(1, 12 * e):
+            try:
+                got = answer(M)
+            except (PrecisionExhausted, TruncationInsufficient):
+                continue
+            assert got == top, (poly, M)
+            answered += 1
+        assert answered >= 6 * e, poly  # not vacuous: most M answer
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -155,6 +155,20 @@ def test_verify_point_certified_torsion_free_at_precision_1(runner, tmp_path):
     assert res.output == "in E_0, level 0, infinite order (group is Z_2)\n"
 
 
+@pytest.mark.parametrize("precision", ["1", "2"])
+def test_verify_point_low_precision_congruence_is_not_torsion(
+        runner, tmp_path, precision):
+    # (-11, 38) on E5 has infinite order, but [5](T) = 0 mod m for every
+    # T in m, so [5^j]P = O holds mod m^1 and m^2; the label needs the
+    # congruence at the descriptor's precision 12, where it fails
+    desc = dict(E5_DESC, points=[{"x": -11, "y": 38}])
+    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc),
+                               "--precision", precision])
+    assert res.exit_code == 0
+    assert res.output == ("in E_0, level 0, not p^j-torsion for j <= 2 "
+                          "(mod m^12)\n")
+
+
 def test_verify_point_singular(runner, tmp_path):
     desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
             "a": [0, -6, 0, 8, 0], "precision": 12,

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from e0struct.formal_group import _Scaled
+from e0struct.local_field import LocalField, OElement
 from e0struct.series import Series, WPoly, key_weight, pack, unpack
 
 
@@ -99,3 +101,100 @@ def test_series_pretty_signs():
     t = Series.variable(1, 5, 0)
     s = t.scale(2) - t * t - (t ** 3).scale(2)
     assert s.pretty(["T"]) == "2*T - T^2 - 2*T^3"
+
+
+KERNEL_FIELDS = {
+    "Q2(sqrt2)": lambda: LocalField.eisenstein(2, (-2, 0, 1), 16),
+    "x^2+2x-2": lambda: LocalField.eisenstein(2, (-2, 2, 1), 16),
+    "x^3-5": lambda: LocalField.eisenstein(5, (-5, 0, 0, 1), 18),
+    "x^2-7": lambda: LocalField.eisenstein(7, (-7, 0, 1), 16),
+    "Q5": lambda: LocalField.unramified(5, 1, 10),
+    "F49": lambda: LocalField.unramified(7, 2, 8),
+}
+
+
+def _random_o_k_series(rng, f, D):
+    """Univariate series over O_K: elements of random valuation and
+    precision around M, and the int coefficients that T, add_const and
+    derivatives leave behind (units, and p for a positive valuation)."""
+    c = {}
+    for d in range(D + 1):
+        r = rng.random()
+        if r < 0.15:
+            continue
+        if r < 0.35:
+            c[(d,)] = rng.choice([1, -1, 2, -f.p])
+            continue
+        x = f.element([rng.randrange(f.p ** 3) for _ in range(f.deg)],
+                      prec=f.M + rng.randrange(-f.e, 2 * f.e))
+        c[(d,)] = x.shift_up(rng.randrange(3))
+    return Series(1, D, c)
+
+
+def _fold_product(s1, s2):
+    """The per-term fold: one OElement product and one sum per term pair,
+    dropping a partial sum that reads zero.  Also the output monomials at
+    which some partial sum cancelled."""
+    D = min(s1.trunc, s2.trunc)
+    out, cancelled = {}, set()
+    for k1, v1 in s1.c.items():
+        for k2, v2 in s2.c.items():
+            k = (k1[0] + k2[0],)
+            if k[0] > D:
+                continue
+            t = out.get(k, 0) + v1 * v2
+            if isinstance(t, OElement) and not t:
+                out.pop(k, None)
+                cancelled.add(k)
+            else:
+                out[k] = t
+    return out, cancelled
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_kernel_product_matches_per_term_fold(name):
+    # [DERIVED] the kernel adds the raw products and reduces once; its
+    # value is the fold's, and its precision (the least product
+    # precision) is the fold's unless a partial sum of the fold cancelled
+    # and forgot the precision of the terms before it
+    f = KERNEL_FIELDS[name]()
+    rng = random.Random(name)
+    for _ in range(25):
+        s1 = _random_o_k_series(rng, f, rng.randrange(3, 12))
+        s2 = _random_o_k_series(rng, f, rng.randrange(3, 12))
+        got = s1 * s2
+        ref, cancelled = _fold_product(s1, s2)
+        assert got.trunc == min(s1.trunc, s2.trunc)
+        for k in set(got.c) | set(ref):
+            g, r = got.c.get(k), ref.get(k)
+            if k not in cancelled:
+                assert type(g) is type(r) and g == r, k
+                if isinstance(r, OElement):
+                    assert g.prec == r.prec, k
+            elif g is not None:
+                assert r is not None and g == r and g.prec <= r.prec, k
+
+
+def test_kernel_builds_one_element_per_output_coefficient(monkeypatch):
+    # [DERIVED] a D = 20 product over x^2 - 7 builds at most one OElement
+    # per output coefficient, not one per term pair
+    f = LocalField.eisenstein(7, (-7, 0, 1), 24)
+    rng = random.Random(20)
+
+    def series():
+        return Series(1, 20, {(d,): f.element(
+            [rng.randrange(1, 7 ** 4), rng.randrange(7 ** 4)])
+            for d in range(21)})
+
+    s1, s2 = series(), series()
+    built = []
+    init = OElement.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(OElement, "__init__", counting_init)
+    product = s1 * s2
+    assert len(product.c) == 21
+    assert len(built) <= 21
