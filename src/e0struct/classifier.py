@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curve import WeierstrassCurve, normalize_additive, Transform
-from .formal_group import (G_TABLE, a_mod_p2, eval_at, g_polynomial,
-                           specialized_log, specialized_mult_by_n, w_series)
+from .curve import WeierstrassCurve, normalize_additive
+from .formal_group import (G_TABLE, a_mod_p2, eval_at, formal_log,
+                           g_polynomial, mult_degree, specialized_mult_by_n)
 from .local_field import LocalField, PrecisionExhausted
 from .residue_field import additive_poly_roots, ff_norm, _fp_kernel
 
@@ -259,16 +259,15 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
     if not (p - 1 > e or (p == 2 and e <= 2)):
         raise ValueError(
             f"hypothesis-violated: p - 1 = {p - 1} <= e = {e}")
-    target = 1 + e + 2 * e  # slack for log-coefficient denominators
-    D = 6 * -(-target // e)  # tail bound e*ceil(D/6) >= target
-    w = w_series(E.a, D + p - 1)
-    # H = k = F_p has the single generator 1; its image spans im(g)
-    px = eval_at(specialized_mult_by_n(E.a, p, D, w), f.one(), target)
-    y = specialized_log(E.a, D, w).evaluate_univar(px.as_k(),
-                                                   f.one().as_k())
-    if y.prec < 1 + e:
+    # H = k = F_p has the single generator 1; its image spans im(g), and
+    # y mod m^{1+e} needs [p](1) mod m^{1+e}: omega is integral
+    target = 1 + e
+    D = mult_degree(E.a, f.one(), target)
+    px = eval_at(E.a, specialized_mult_by_n(E.a, p, D), f.one(), target)
+    y = formal_log(E.a, D).evaluate_univar(px.as_k(), f.one().as_k())
+    if y.prec < target:
         raise PrecisionExhausted(
-            f"g-map value known mod m^{y.prec}; m/m^{1 + e} needs {1 + e}")
+            f"g-map value known mod m^{y.prec}; m/m^{target} needs {target}")
     coords = _m_mod_coords(y, f)
     # one column since the residue field is F_p; each basis line
     # pi^i Z_p / p pi^i Z_p of m/m^{1+e} is a copy of Z/p, so N = 1

@@ -19,7 +19,8 @@ from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
                     psi_E0, reduce_point, reduction_type, filtration_level)
 from .formal_group import (G_TABLE, eval_at, generic_group_law,
-                           generic_mult_by_n, specialized_mult_by_n)
+                           generic_mult_by_n, mult_degree,
+                           specialized_mult_by_n)
 from .local_field import LocalField
 from .oracle import compare
 from .residue_field import is_prime
@@ -328,10 +329,11 @@ def _verify_one(E, report, raw, precision, tr=None):
 def _torsion_order(E, P, precision):
     """p^j for the least j <= 2 with [p^j]P = O mod m^precision, or None."""
     p = E.field.p
-    mp = specialized_mult_by_n(E.a, p, 6 * precision)
     val = psi_E0(E, P)
+    # [p] raises valuations, so the degree that serves psi(P) serves [p]psi(P)
+    mp = specialized_mult_by_n(E.a, p, mult_degree(E.a, val, precision))
     for j in (1, 2):
-        val = eval_at(mp, val, precision)
+        val = eval_at(E.a, mp, val, precision)
         if val.is_zero_at_precision():
             return p ** j
     return None

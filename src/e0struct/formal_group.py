@@ -9,13 +9,9 @@ equation becomes w = t^3 + a1*t*w + a2*t^2*w + a3*w^2 + a4*t*w^2 + a6*w^3.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
 from .local_field import PrecisionExhausted
 from .residue_field import AdditivePoly
-from .series import (GENERIC_A, Series, WPoly, _is_zero_coeff, dot,
-                     newton_levels)
+from .series import GENERIC_A, Series, WPoly, _is_zero_coeff, dot
 
 
 class TruncationInsufficient(ArithmeticError):
@@ -94,29 +90,9 @@ def formal_sum(a, D: int) -> Series:
     return _chord_sum(a, lam, w_at_s - lam * S, S, T)[0]
 
 
-def compose_bivariate(F: Series, f: Series, g: Series) -> Series:
-    """F(f, g) for bivariate F and univariate f, g with zero constant
-    term.  Horner in the first variable."""
-    if not (_is_zero_coeff(f.constant_term())
-            and _is_zero_coeff(g.constant_term())):
-        raise ValueError("substituted series must have zero constant term")
-    D = min(F.trunc, f.trunc, g.trunc)
-    rows = {}
-    for (i, j), v in F.c.items():
-        rows.setdefault(i, {})[(j,)] = v
-    result = Series(1, D)
-    for i in range(max(rows, default=0), -1, -1):
-        result = result * f
-        if i in rows:
-            result = result + Series(1, D, rows[i]).compose(g)
-    return result
-
-
 _GEN_F = {}
 _GEN_MULT = {}
-# above this truncation degree, [n] switches from the F-recursion to the
-# logarithm route (both are exact; they are cross-checked in the tests)
-_RECURSION_DEGREE_BOUND = 12
+_GEN_LOG = {}
 
 
 def generic_group_law(D: int) -> Series:
@@ -126,170 +102,10 @@ def generic_group_law(D: int) -> Series:
 
 
 def generic_mult_by_n(n: int, D: int) -> Series:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     key = (n, D)
-    if key in _GEN_MULT:
-        return _GEN_MULT[key]
-    T = Series.variable(1, D, 0)
-    if n == 1:
-        out = T
-    elif D > _RECURSION_DEGREE_BOUND:
-        # the bivariate chord law gets expensive at large degree; solve
-        # log([n]) = n*log instead (agreement with the recursion is a test)
-        out = _mult_via_log(n, D)
-    elif n == 2:
-        F = generic_group_law(D)
-        out = compose_bivariate(F, T, T)
-    elif n % 2 == 0:
-        out = generic_mult_by_n(2, D).compose(generic_mult_by_n(n // 2, D))
-    else:
-        F = generic_group_law(D)
-        out = compose_bivariate(F, generic_mult_by_n(n - 1, D), T)
-    _GEN_MULT[key] = out
-    return out
-
-
-class _Scaled:
-    """A series with integer (or integer-WPoly) coefficients divided by a
-    single positive integer denominator.  Much faster than per-coefficient
-    Fractions for the generic large-degree computations."""
-
-    __slots__ = ("s", "den")
-
-    def __init__(self, s, den=1, normalize=True):
-        if den < 0:
-            s, den = -s, -den
-        if normalize and den != 1:
-            g = den
-            for v in s.c.values():
-                if isinstance(v, WPoly):
-                    for c in v.d.values():
-                        g = gcd(g, c)
-                else:
-                    g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                s = s.map_coeffs(lambda v: _int_div(v, g))
-                den //= g
-        self.s = s
-        self.den = den
-
-    @classmethod
-    def const(cls, nvars, trunc, num, den=1):
-        return cls(Series.const(nvars, trunc, num), den)
-
-    def truncate(self, D):
-        return _Scaled(self.s.truncate(D), self.den, normalize=False)
-
-    def __mul__(self, other):
-        return _Scaled(self.s * other.s, self.den * other.den)
-
-    def __add__(self, other):
-        l = lcm(self.den, other.den)
-        s = self.s.scale(l // self.den) + other.s.scale(l // other.den)
-        return _Scaled(s, l)
-
-    def __neg__(self):
-        return _Scaled(-self.s, self.den, normalize=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def add_const(self, c):
-        """Add a plain integer constant."""
-        return _Scaled(self.s.add_const(c * self.den), self.den,
-                       normalize=False)
-
-    def scale_rat(self, num, den=1):
-        return _Scaled(self.s.scale(num), self.den * den)
-
-    def invert_unit(self):
-        c0 = self.s.constant_term()
-        if not isinstance(c0, int) or c0 == 0:
-            raise ValueError("need a nonzero integer constant term")
-        z = _Scaled.const(self.s.nvars, 0, self.den, c0)
-        for t2 in newton_levels(self.s.trunc):
-            zt = _Scaled(Series(self.s.nvars, t2, z.s.c), z.den,
-                         normalize=False)
-            st = self.truncate(t2)
-            z = zt * (-(st * zt)).add_const(2)
-        return z
-
-    def compose(self, g: "_Scaled") -> "_Scaled":
-        if self.s.nvars != 1:
-            raise ValueError("compose only for univariate series")
-        D = min(self.s.trunc, g.s.trunc)
-        result = _Scaled.const(g.s.nvars, D, 0)
-        for d in range(D, -1, -1):
-            result = result * g
-            cd = self.s.c.get((d,), 0)
-            if not _is_zero_coeff(cd):
-                result = result + _Scaled(
-                    Series.const(g.s.nvars, D, cd), self.den)
-        return result
-
-    def derivative(self):
-        return _Scaled(self.s.derivative(), self.den, normalize=False)
-
-    def to_series(self) -> Series:
-        """Back to a plain Series with Fraction-free coefficients when the
-        denominator is 1, Fractions otherwise."""
-        if self.den == 1:
-            return self.s
-        d = self.den
-        return self.s.map_coeffs(lambda v: _frac_div(v, d))
-
-
-def _int_div(v, g):
-    if isinstance(v, int):
-        return v // g
-    return v.map_coeffs(lambda c: c // g)
-
-
-def _frac_div(v, d):
-    if isinstance(v, int):
-        q = Fraction(v, d)
-        return int(q) if q.denominator == 1 else q
-    return v.map_coeffs(lambda c: _frac_div(c, d))
-
-
-def _log_scaled(a, D: int) -> _Scaled:
-    a1, a2, a3, a4, a6 = a
-    w = w_series(a, D + 3)
-    t = Series.variable(1, D + 3, 0)
-    num = w - t * w.derivative()
-    den = w * (t.scale(a1).add_const(-2) + w.scale(a3))
-    num3 = _Scaled(_shift_down(num, 3))
-    den3 = _Scaled(_shift_down(den, 3))
-    logder = (num3 * den3.invert_unit()).truncate(D - 1)
-    # integrate: divide the degree-d coefficient by d+1
-    l = lcm(*range(1, D + 1)) if D >= 1 else 1
-    out = {}
-    for (d,), v in logder.s.c.items():
-        out[(d + 1,)] = (l // (d + 1)) * v
-    return _Scaled(Series(1, D, out), logder.den * l)
-
-
-_GEN_LOG = {}
-
-
-def _log_scaled_cached(a, D: int) -> _Scaled:
-    if a is not GENERIC_A:
-        return _log_scaled(a, D)
-    for D2, cached in _GEN_LOG.items():
-        if D2 >= D:
-            return _Scaled(Series(1, D, cached.s.c), cached.den,
-                           normalize=False)
-    _GEN_LOG[D] = _log_scaled(a, D)
-    return _GEN_LOG[D]
-
-
-def formal_log(a, D: int) -> Series:
-    """log(T) = T + ... with log(F(X,Y)) = log X + log Y; coefficients
-    are exact rationals (times weighted polynomials, generically)."""
-    return _log_scaled_cached(a, D).to_series()
+    if key not in _GEN_MULT:
+        _GEN_MULT[key] = specialized_mult_by_n(GENERIC_A, n, D)
+    return _GEN_MULT[key]
 
 
 def _shift_down(s: Series, k: int) -> Series:
@@ -301,80 +117,83 @@ def _shift_down(s: Series, k: int) -> Series:
     return Series(1, s.trunc - k, out)
 
 
-def formal_exp(a, D: int) -> Series:
-    """Compositional inverse of formal_log, by Newton iteration with
-    doubling truncation."""
-    lg = _log_scaled_cached(a, D + 1)
-    e = _Scaled(Series.variable(1, 1, 0))
-    for t2 in newton_levels(D, start=1):
-        lgt = _Scaled(Series(1, t2 + 1, lg.s.c), lg.den, normalize=False)
-        lgpt = lgt.derivative()
-        et = _Scaled(Series(1, t2, e.s.c), e.den, normalize=False)
-        err = lgt.truncate(t2).compose(et) - _Scaled(
-            Series.variable(1, t2, 0))
-        e = et - err * lgpt.compose(et).invert_unit()
-    return e.to_series()
-
-
-def _mult_via_log(n: int, D: int) -> Series:
-    """[n](T) solved from log([n](T)) = n*log(T) by Newton iteration;
-    exact, and the integrality of the result is asserted."""
-    lg = _log_scaled_cached(GENERIC_A, D + 1)
-    u = _Scaled(Series.variable(1, 1, 0).scale(n))
-    for t2 in newton_levels(D, start=1):
-        lgt = _Scaled(Series(1, t2 + 1, lg.s.c), lg.den, normalize=False)
-        lgpt = lgt.derivative()
-        ut = _Scaled(Series(1, t2, u.s.c), u.den, normalize=False)
-        err = lgt.truncate(t2).compose(ut) - lgt.truncate(t2).scale_rat(n)
-        u = ut - err * lgpt.compose(ut).invert_unit()
-    if u.den != 1:
-        raise AssertionError(f"[{n}] came out non-integral (den {u.den})")
-    return u.s
-
-
-def specialized_mult_by_n(a, n: int, D: int, w=None) -> Series:
-    """[n](T) for concrete O_K coefficients a, for 2 <= n <= p + 1.
-
-    Carries the pair (t, w) of [m]P, P = (T, w(T)), as two series in T:
-    [2] through the tangent slope w'(T), then [m] = [m-1] + P through the
-    chord slope (w_{m-1} - w)/(t_{m-1} - T).  That division is exact
-    because t_{m-1} - T = (m-2)T + ... and m - 2 is prime to p.  Each slope
-    costs one degree, so the chain runs at D + n - 1; w, when the caller
-    has it, is the w-series of a to at least that degree."""
-    one = a[0].field.one()
-    Dx = D + n - 1
-    w = w_series(a, Dx) if w is None else w
-    T = Series.variable(1, Dx, 0)
-    t, wt = T, w
-    for m in range(2, n + 1):
-        if m == 2:
-            lam = w.derivative()
-        else:
-            den = _shift_down(t - T, 1)
-            c0inv = (den.constant_term() * one).invert()
-            lam = _shift_down(wt - w, 1) * den.invert_unit(c0inv)
-        t, wt = _chord_sum(a, lam, w - lam * T, t, T)
-    return t.truncate(D)
-
-
-def specialized_log(a, D: int, w=None) -> Series:
-    """log(T) to degree D for concrete O_K coefficients a, as a series
-    over K: the integral of the invariant differential
-
-        omega = dT / (1 - a1*T - a2*T^2 - 2*a3*w - 2*a4*T*w - 3*a6*w^2),
-
-    which is integral with unit constant term (Silverman AEC IV.1), so
-    only the integration omega_d / (d+1) leaves O_K.  w, when the caller
-    has it, is the w-series of a to at least degree D - 1."""
-    one = a[0].field.one().as_k()
+def _omega_den(a, t: Series, w: Series) -> Series:
+    """-G_w = 1 - a1*t - a2*t^2 - 2*a3*w - 2*a4*t*w - 3*a6*w^2 for the
+    curve G(t, w) = 0 of the chart: the unit denominator of the
+    invariant differential omega = dt/(-G_w)."""
     a1, a2, a3, a4, a6 = a
-    w = (w_series(a, D - 1) if w is None else w).truncate(D - 1)
+    den = (t.scale(a1) + (t * t).scale(a2) + w.scale(2 * a3)
+           + (t * w).scale(2 * a4) + (w * w).scale(3 * a6))
+    return (-den).add_const(1)
+
+
+def _double(a, P, T):
+    """2P for P = (t, w) by the tangent slope dw/dt = G_t/(-G_w); at
+    P = (T, w(T)) that slope is just w'(T)."""
+    t, w = P
+    if t is T:
+        lam = w.derivative()
+    else:
+        a1, a2, a3, a4, a6 = a
+        G_t = ((t * t).scale(3) + w.scale(a1) + (t * w).scale(2 * a2)
+               + (w * w).scale(a4))
+        lam = G_t * _omega_den(a, t, w).invert_unit(1)
+    return _chord_sum(a, lam, w - lam * t, t, t)
+
+
+def _add_next(a, P, Q):
+    """[k]P + [k+1]P by the chord slope (w_Q - w_P)/(t_Q - t_P); both
+    differences are divisible by T, and (t_Q - t_P)/T has constant term 1,
+    so the slope stays integral."""
+    (t1, w1), (t2, w2) = P, Q
+    lam = _shift_down(w2 - w1, 1) * _shift_down(t2 - t1, 1).invert_unit(1)
+    return _chord_sum(a, lam, w1 - lam * t1, t1, t2)
+
+
+def specialized_mult_by_n(a, n: int, D: int) -> Series:
+    """[n](T) to degree D over any coefficient ring: Z[a1..a6] for the
+    generic tables, O_K for a concrete curve.
+
+    A Montgomery ladder on the pair ([k]P, [k+1]P) of (t, w) series in T,
+    P = (T, w(T)), read off the bits of n: each step either doubles the
+    lower point and adds the two, or adds them and doubles the upper one.
+    No step divides by anything but a unit series.  Every addition's
+    slope, and the first doubling's w'(T), costs one degree, so the
+    ladder runs at D + bit_length(n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return Series.variable(1, D, 0)
+    Dx = D + n.bit_length()
+    T = Series.variable(1, Dx, 0)
+    P = (T, w_series(a, Dx))
+    lo, hi = P, _double(a, P, T)
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        last = i == len(bits) - 1
+        if bit == "1":
+            lo, hi = (_add_next(a, lo, hi),
+                      None if last else _double(a, hi, T))
+        else:
+            # 2*[1]P is the [2]P already in hand
+            lo, hi = (hi if lo is P else _double(a, lo, T),
+                      None if last else _add_next(a, lo, hi))
+    return lo[0].truncate(D)
+
+
+def formal_log(a, D: int) -> Series:
+    """log(T) = T + ... to degree D, with log(F(X,Y)) = log X + log Y: the
+    integral of the invariant differential omega = dT/(-G_w(T, w(T))),
+    which is integral with unit constant term (Silverman AEC IV.1), so
+    only the integration's division by d + 1 leaves the coefficient ring
+    (Fractions over Z[a1..a6], K over O_K)."""
+    if a is GENERIC_A and D in _GEN_LOG:
+        return _GEN_LOG[D]
     T = Series.variable(1, D - 1, 0)
-    den = (T.scale(a1) + (T * T).scale(a2) + w.scale(2 * a3)
-           + (T * w).scale(2 * a4) + (w * w).scale(3 * a6))
-    omega = (-den).add_const(1).invert_unit(1)
-    return Series(1, D, {(d + 1,): c * one / (d + 1)
-                         for (d,), c in omega.c.items()})
+    log = _omega_den(a, T, w_series(a, D - 1)).invert_unit(1).integrate()
+    if a is GENERIC_A:
+        _GEN_LOG[D] = log
+    return log
 
 
 def specialize(s: Series, a_values, one) -> Series:
@@ -408,15 +227,37 @@ def specialize(s: Series, a_values, one) -> Series:
     return Series(s.nvars, s.trunc, out)
 
 
-def eval_at(s: Series, x, target_prec: int):
-    """Evaluate a specialized univariate series at an integral x, correct
-    modulo m_K^target_prec.  Checks the tail bound coming from
-    wt(b_i) = i - 1 and v(a_j) >= e."""
+def tail_valuation(a, D: int, vx: int) -> int:
+    """A lower bound on the valuation of every term beyond degree D of an
+    [n] series over O_K coefficients a, at an argument of valuation vx.
+    b_i is homogeneous of weight i - 1 in the a_j, whose weights are at
+    most 6, so each of its monomials has at least ceil((i - 1)/6) factors
+    a_j; a normalized curve has a_j in m_K but not always v(a_j) >= e."""
+    vmin = min(aj._vmin() for aj in a)
+    return vmin * -(-D // 6) + (D + 1) * vx
+
+
+def mult_degree(a, x, target_prec: int) -> int:
+    """The least truncation degree D of an [n] series over a whose tail
+    at x has valuation >= target_prec (tail_valuation)."""
+    vx = x._vmin()
+    if vx == 0 and min(aj._vmin() for aj in a) == 0:
+        raise TruncationInsufficient(
+            "no truncation degree bounds the tail at a unit argument "
+            "when some a_j is a unit")
+    D = 0
+    while tail_valuation(a, D, vx) < target_prec:
+        D += 1
+    return D
+
+
+def eval_at(a, s: Series, x, target_prec: int):
+    """Evaluate s, an [n] series specialized at the O_K coefficients a, at
+    an integral x, correct modulo m_K^target_prec.  Checks tail_valuation
+    at the truncation degree of s, and the digits of the result."""
     f = x.field
     D = s.trunc
-    vx = x.valuation_or_none()
-    vx = x.prec if vx is None else vx
-    tail = f.e * (-(-D // 6)) + min(1, vx) * D
+    tail = tail_valuation(a, D, x._vmin())
     if tail < target_prec:
         raise TruncationInsufficient(
             f"degree {D} gives tail valuation {tail} < target {target_prec}")

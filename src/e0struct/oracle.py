@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .formal_group import specialized_mult_by_n
+from .formal_group import specialized_mult_by_n, tail_valuation
 
 SIZE_BOUND = 2 ** 16
 
@@ -227,7 +227,7 @@ class FiniteModel:
         if not E.is_normalized():
             raise ValueError("finite_model requires a normalized curve")
         self.E, self.field, self.M = E, field, M
-        p, e, d = field.p, field.e, field.deg
+        p, d = field.p, field.deg
         self.moduli = [field.coeff_modulus(i, M) for i in range(d)]
         order = math.prod(self.moduli)
         if order > SIZE_BOUND:
@@ -239,8 +239,9 @@ class FiniteModel:
         D = 6 * M + 2
         self.D = D
         # truncation soundness: the first dropped coefficient has weight
-        # >= D, so valuation >= e*ceil(D/6) >= M even at unit arguments
-        assert e * (-(-D // 6)) >= M
+        # >= D and every a_j lies in m_K (not always in m_K^e), so the
+        # dropped terms have valuation >= ceil(D/6) > M even at units
+        assert tail_valuation(E.a, D, 0) >= M
         bound = self.ring.int64_bound(D)
         if bound >= 2 ** 63:
             raise ModelTooLarge(

@@ -224,9 +224,12 @@ def dot(pairs):
 
 
 def _is_zero_coeff(c):
+    """An exact zero, which a series may drop.  An O_K element that reads
+    0 is only known to vanish mod m^prec; dropping it would claim digits
+    the input never gave, so it stays."""
     if isinstance(c, (int, Fraction)):
         return c == 0
-    return not c
+    return type(c) is not OElement and not c
 
 
 class Series:
@@ -431,7 +434,8 @@ class Series:
 
     def integrate(self):
         """Antiderivative with zero constant term; divides by exponents, so
-        coefficients must support division by ints (Fractions)."""
+        coefficients leave their ring: ints and WPolys pick up Fractions,
+        OElements become KElements."""
         if self.nvars != 1:
             raise ValueError("integrate only for univariate series")
         out = {}
@@ -494,19 +498,6 @@ def _monomials(nvars, d):
             for rest in _monomials(nvars - 1, d - i)]
 
 
-def newton_levels(D, start=0):
-    """Truncation schedule of a Newton iteration whose first approximation
-    is correct through degree start: a step from a level correct through
-    degree c is correct through 2c + 1, so halve backwards from D and hit
-    the final (expensive) level exactly once."""
-    levels = []
-    t = D
-    while t > start:
-        levels.append(t)
-        t //= 2
-    return levels[::-1]
-
-
 def _div_int(v, m):
     if isinstance(v, int):
         if v % m == 0:
@@ -516,4 +507,6 @@ def _div_int(v, m):
         return v / m
     if isinstance(v, WPoly):
         return v.map_coeffs(lambda c: _div_int(c, m))
+    if isinstance(v, OElement):
+        return v.as_k() / m
     raise TypeError(f"cannot divide {type(v)} by an int exactly")

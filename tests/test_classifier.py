@@ -146,8 +146,8 @@ def test_ramified_g_map_refuses_a_short_value(Q2sqrt2, monkeypatch):
     E = random_normalized_curve(Q2sqrt2, random.Random(3))
     eval_at = classifier.eval_at
 
-    def short_eval_at(s, x, target):
-        v = eval_at(s, x, target)
+    def short_eval_at(*args):
+        v = eval_at(*args)
         return v.field.element(v.coeffs, 2)
 
     monkeypatch.setattr(classifier, "eval_at", short_eval_at)
@@ -162,14 +162,27 @@ def test_random_normalized_curve_is_normalized(Q5):
         assert E.is_normalized()
 
 
+def _change_coords(a, r, s, t):
+    """The integer model for x = x' + r, y = y' + s*x' + t (Silverman
+    III.1 with u = 1): the same curve, in general no longer normalized."""
+    a1, a2, a3, a4, a6 = a
+    return (a1 + 2 * s,
+            a2 - s * a1 + 3 * r - s * s,
+            a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
+            - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
+
+
 def _monotonicity_models():
-    """(p, n, a) integer models: the fixtures over their Q_p, E2, E3 and
-    E7 over F_{p^2}, and three seeded a_i = p*r, r < p^3, per (p, n)."""
-    models = [pytest.param(p, 1, a, id=name)
-              for name, (p, a) in FIXTURE_COEFFS.items()]
+    """(p, n, a, rst) integer models: the fixtures over their Q_p, E2, E3
+    and E7 over F_{p^2}, and three seeded a_i = p*r, r < p^3, per (p, n);
+    then each again under a seeded coordinate change rst = (r, s, t)
+    with unit entries, which classify has to undo."""
+    models = [(p, 1, a, name) for name, (p, a) in FIXTURE_COEFFS.items()]
     for name in ("E2", "E3", "E7"):
         p, a = FIXTURE_COEFFS[name]
-        models.append(pytest.param(p, 2, a, id=f"{name}-n2"))
+        models.append((p, 2, a, f"{name}-n2"))
     rng = random.Random(12)
     for p in (2, 3, 5, 7):
         for n in (1, 2):
@@ -182,22 +195,30 @@ def _monotonicity_models():
                         break
                     except PrecisionExhausted:
                         continue
-                models.append(pytest.param(p, n, a, id=f"p{p}-n{n}-{i}"))
-    return models
+                models.append((p, n, a, f"p{p}-n{n}-{i}"))
+    params = [pytest.param(p, n, a, None, id=name)
+              for p, n, a, name in models]
+    for p, n, a, name in models:
+        rst = tuple(p * rng.randrange(p) + rng.randrange(1, p) for _ in "rst")
+        params.append(pytest.param(p, n, a, rst, id=f"{name}-rst"))
+    return params
 
 
-@pytest.mark.parametrize("p, n, a", _monotonicity_models())
-def test_certified_answer_is_monotone_in_precision(p, n, a):
+@pytest.mark.parametrize("p, n, a, rst", _monotonicity_models())
+def test_certified_answer_is_monotone_in_precision(p, n, a, rst):
     # [DERIVED] a certified answer at precision M is the one at M = 12,
-    # or the classifier says the digits are not there
-    def classify(M):
-        return classify_general(make_curve(LocalField.unramified(p, n, M), a))
+    # or the classifier says the digits are not there; an unnormalized
+    # presentation gives the normalized model's answer
+    def classify(M, coeffs):
+        return classify_general(
+            make_curve(LocalField.unramified(p, n, M), coeffs))
 
-    top = classify(12)
+    top = classify(12, a)
     assert top.certified
-    for M in range(1, 12):
+    given = a if rst is None else _change_coords(a, *rst)
+    for M in range(1, 13):
         try:
-            r = classify(M)
+            r = classify(M, given)
         except PrecisionExhausted:
             continue
         assert (r.structure, r.method) == (top.structure, top.method), M
@@ -239,6 +260,20 @@ def test_ramified_answer_is_monotone_in_precision():
             assert got == top, (poly, M)
             answered += 1
         assert answered >= 6 * e, poly  # not vacuous: most M answer
+
+
+def test_ramified_truncation_over_x5_plus_7():
+    # [DERIVED] over Q_7(pi), pi^5 = -7, the span-1 curves have v(a_j) = 1,
+    # not e = 5, so [7](1) needs degree 31 rather than 24 to be known mod
+    # m^6; the coordinates are those of a degree-96 truncation
+    K = LocalField.eisenstein(7, (7, 0, 0, 0, 0, 1), 60)
+    expect = [[4, 4, 0, 5, 2], [2, 0, 0, 6, 3], [3, 3, 6, 6, 1],
+              [5, 0, 5, 3, 1], [6, 2, 1, 0, 3]]
+    for s, coords in enumerate(expect):
+        E = random_normalized_curve(K, random.Random(s), span=1)
+        r = classify_general(E)
+        assert r.evidence["g_image_coords"] == coords, s
+        assert r.evidence["log_value"]["prec"] == 1 + K.e
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from e0struct.formal_group import _Scaled
 from e0struct.local_field import LocalField, OElement
 from e0struct.series import Series, WPoly, key_weight, pack, unpack
 
@@ -57,14 +56,11 @@ def test_series_geometric_inverse():
 
 @pytest.mark.parametrize("trunc", range(8))
 def test_invert_unit_at_every_truncation(trunc):
-    # [DERIVED] the shared Newton schedule reaches full precision at every
-    # truncation, for Series and for the generic code's _Scaled series
+    # [DERIVED] the inverse is exact through every truncation degree, in
+    # one and in two variables
     s = Series(1, trunc, {(k,): k + 1 for k in range(trunc + 1)})
-    one = Series.const(1, trunc, 1)
     z = s.invert_unit(1)
-    assert z.trunc == trunc and s * z == one
-    zs = _Scaled(s).invert_unit()
-    assert zs.den == 1 and s * zs.s == one
+    assert z.trunc == trunc and s * z == Series.const(1, trunc, 1)
     b = Series(2, trunc, {(i, j): i + 2 * j + 1 for i in range(trunc + 1)
                           for j in range(trunc + 1 - i)})
     assert b * b.invert_unit(1) == Series.const(2, trunc, 1)
@@ -132,47 +128,45 @@ def _random_o_k_series(rng, f, D):
 
 
 def _fold_product(s1, s2):
-    """The per-term fold: one OElement product and one sum per term pair,
-    dropping a partial sum that reads zero.  Also the output monomials at
-    which some partial sum cancelled."""
+    """The per-term fold: one OElement product and one sum per term pair.
+    A partial sum that reads zero stays, with its precision."""
     D = min(s1.trunc, s2.trunc)
-    out, cancelled = {}, set()
+    out = {}
     for k1, v1 in s1.c.items():
         for k2, v2 in s2.c.items():
             k = (k1[0] + k2[0],)
-            if k[0] > D:
-                continue
-            t = out.get(k, 0) + v1 * v2
-            if isinstance(t, OElement) and not t:
-                out.pop(k, None)
-                cancelled.add(k)
-            else:
-                out[k] = t
-    return out, cancelled
+            if k[0] <= D:
+                out[k] = out.get(k, 0) + v1 * v2
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
 def test_kernel_product_matches_per_term_fold(name):
     # [DERIVED] the kernel adds the raw products and reduces once; its
-    # value is the fold's, and its precision (the least product
-    # precision) is the fold's unless a partial sum of the fold cancelled
-    # and forgot the precision of the terms before it
+    # value and its precision (the least product precision) are the
+    # fold's, also where the sum cancels to an apparent zero
     f = KERNEL_FIELDS[name]()
     rng = random.Random(name)
     for _ in range(25):
         s1 = _random_o_k_series(rng, f, rng.randrange(3, 12))
         s2 = _random_o_k_series(rng, f, rng.randrange(3, 12))
         got = s1 * s2
-        ref, cancelled = _fold_product(s1, s2)
+        ref = _fold_product(s1, s2)
         assert got.trunc == min(s1.trunc, s2.trunc)
-        for k in set(got.c) | set(ref):
-            g, r = got.c.get(k), ref.get(k)
-            if k not in cancelled:
-                assert type(g) is type(r) and g == r, k
-                if isinstance(r, OElement):
-                    assert g.prec == r.prec, k
-            elif g is not None:
-                assert r is not None and g == r and g.prec <= r.prec, k
+        assert set(got.c) == set(ref)
+        for k, r in ref.items():
+            g = got.c[k]
+            assert type(g) is type(r) and g == r, k
+            if isinstance(r, OElement):
+                assert g.prec == r.prec, k
+
+
+def test_o_k_zero_coefficient_keeps_its_precision():
+    # [DERIVED] a coefficient that reads 0 but is known only mod m^3 stays
+    # in the series, so a value computed from it is known mod m^3 only
+    f = LocalField.eisenstein(5, (-5, 0, 0, 1), 12)
+    s = Series.variable(1, 2, 0).scale(f.element([0], 3)).add_const(1)
+    assert s.evaluate_univar(f.one(), f.one()).prec == 3
 
 
 def test_kernel_builds_one_element_per_output_coefficient(monkeypatch):
