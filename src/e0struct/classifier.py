@@ -194,13 +194,7 @@ def splitting_torsion(mat, p, N):
                     "the map is not defined on a p-torsion domain")
             r.append((v // scale) % p)
         reduced.append(r)
-    # square up for the F_p kernel routine
-    size = max(a, f)
-    square = [[reduced[i][j] if i < a and j < f else 0
-               for j in range(size)] for i in range(size)]
-    kernel = [v[:f] for v in _fp_kernel(square, p)
-              if not any(v[f:])]
-    kernel = [v for v in kernel if any(v)]
+    kernel = _fp_kernel(reduced, p)
     dim = len(kernel)
     cols = [[mat[i][j] % q for i in range(a)] for j in range(f)]
     return dim, kernel, cols
@@ -310,7 +304,7 @@ def _ramified_lattice(coords, field):
     # m^{1+e} = pi^{1+e} O_K = p * pi * O_K: rows p*pi^{i+1} reduced
     rows = []
     for i in range(n):
-        vec = _pi_power_vector(i + 1, field)
+        vec = field.pi_power(i + 1)
         rows.append([p * v for v in vec])
     # lift of the image vector: coords on (pi..pi^{e-1}, p)
     lift = [0] * n
@@ -320,29 +314,6 @@ def _ramified_lattice(coords, field):
     rows.append(lift)
     basis = _hnf(rows)
     return [[Fraction(v, p) for v in row] for row in basis]
-
-
-def _pi_power_vector(k, field):
-    """pi^k written on the basis 1, pi, ..., pi^{e-1} (integer vector)."""
-    e = field.e
-    poly = field.poly  # ascending, monic: (c_0, ..., c_{e-1}, 1)
-    vec = [0] * e
-    if k < e:
-        vec[k] = 1
-        return vec
-    # reduce X^k mod the Eisenstein polynomial
-    cur = [0] * e
-    cur[e - 1] = 1  # X^{e-1}
-    power = e - 1
-    while power < k:
-        # multiply by X
-        top = cur[e - 1]
-        cur = [0] + cur[:-1]
-        if top:
-            for i in range(e):
-                cur[i] -= top * poly[i]
-        power += 1
-    return cur
 
 
 def random_normalized_curve(field: LocalField, rng, span=6):

@@ -68,12 +68,6 @@ class DescriptorError(ValueError):
     pass
 
 
-def _parse_rational(v) -> Fraction:
-    if isinstance(v, int):
-        return Fraction(v)
-    return Fraction(v)
-
-
 def load_descriptor(text: str) -> dict:
     try:
         data = json.loads(text)
@@ -97,28 +91,20 @@ def build_field(desc: dict, precision=None) -> LocalField:
 
 
 def _embed_coeff(field: LocalField, v):
-    """A descriptor coefficient (rational or coefficient vector) as an
-    element of O_K."""
+    """A descriptor coefficient (rational, or vector [c_0, c_1, ...] for
+    sum c_i X^i mod h) as an element of O_K.  The terms c_i X^i of a
+    vector have distinct valuations mod e, so the sum is integral exactly
+    when every c_i is p-integral."""
     if isinstance(v, list):
-        coeffs = [_parse_rational(c) for c in v]
-        acc = field.zero().as_k()
-        pw = field.one().as_k()
-        pi = field.uniformizer.as_k() if field.kind == "eisenstein" else None
-        if field.kind == "unramified":
-            ints = []
-            for c in coeffs:
-                if c.denominator != 1:
-                    raise DescriptorError(
-                        f"non-integral coefficient {c} in vector")
-                ints.append(c.numerator)
-            return field.element(ints)
+        coeffs = [Fraction(c) for c in v]
+        mod = field.coeff_modulus(0, field.M)
         for c in coeffs:
-            acc = acc + field.embed_rational(c) * pw
-            pw = pw * pi
-        out = acc.integral_part()
-        return out
-    q = _parse_rational(v)
-    return field.embed_integral_rational(q)
+            if c.denominator % field.p == 0:
+                raise DescriptorError(
+                    f"coefficient {c} in vector is not p-integral")
+        return field.element(field._reduce_poly(
+            [c.numerator * pow(c.denominator, -1, mod) for c in coeffs]))
+    return field.embed_integral_rational(Fraction(v))
 
 
 def build_curve(field: LocalField, desc: dict) -> WeierstrassCurve:

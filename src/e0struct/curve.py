@@ -273,8 +273,8 @@ def normalize_additive(E: WeierstrassCurve):
     if rt.tag != "additive":
         raise ValueError(f"reduction type: {rt.tag}; additive required")
     x0, y0 = rt.singular_point
-    r = _lift(E.field, x0)
-    t = _lift(E.field, y0)
+    r = E.field.element(x0.coeffs)
+    t = E.field.element(y0.coeffs)
     tr1 = Transform(E.field, r, 0, t)
     E1 = tr1.apply(E)
     # tangent direction: the double root of z^2 + a1bar z - a2bar
@@ -284,17 +284,11 @@ def normalize_additive(E: WeierstrassCurve):
     if not z0:
         E2, tr = E1, tr1
     else:
-        tr2 = Transform(E.field, 0, _lift(E.field, z0), 0)
+        tr2 = Transform(E.field, 0, E.field.element(z0.coeffs), 0)
         E2 = tr2.apply(E1)
         tr = Transform(E.field, tr1.r, tr2.s, tr1.t)
     assert E2.is_normalized()
     return E2, tr
-
-
-def _lift(field, xbar: FFElement) -> OElement:
-    if field.kind == "unramified":
-        return field.element(list(xbar.coeffs))
-    return field.element([xbar.as_int()])
 
 
 # -- group law over K -------------------------------------------------------

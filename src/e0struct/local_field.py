@@ -1,10 +1,17 @@
 """Truncated-precision exact arithmetic in finite extensions of Q_p.
 
-Supports unramified extensions and totally ramified (Eisenstein)
-extensions.  Elements of the valuation ring are stored as polynomial
-representatives in the defining generator with an explicit known
-precision, measured in powers of the maximal ideal so both kinds share
-one contract.  Precision propagation is never optimistic.
+Supports unramified and totally ramified (Eisenstein) extensions, both
+presented as O_K = Z_p[X]/(h).  Elements of the valuation ring are stored
+as polynomial representatives in X with an explicit known precision,
+measured in powers of the maximal ideal so both kinds share one contract.
+Precision propagation is never optimistic.
+
+The kinds differ in three facts, set once in LocalField.__init__: the
+valuation of each basis vector X^i (0 unramified, i Eisenstein), the
+uniformizer pi (p, or X), and 1/pi = B/d with B exact and d an integer
+of valuation e (1/p, or -(h_1 + ... + X^{e-1})/h_0), so that the unit
+u = p/pi^e = p B^e/d^e is exact too.  Element operations read these
+through the exact vectors pi^k and (d/pi)^k (pi_power).
 """
 
 from __future__ import annotations
@@ -71,6 +78,8 @@ class LocalField:
             # defining polynomial: the residue modulus lifted with
             # coefficients in [0, p)
             self.poly = tuple(int(c) for c in self.residue.modulus)
+            self.basis_valuations = (0,) * n
+            pi, d_over_pi, d = (p,), (1,), p
         elif kind == "eisenstein":
             h = tuple(int(c) for c in eisenstein_poly)
             e = len(h) - 1
@@ -83,12 +92,17 @@ class LocalField:
             self.f = 1
             self.residue = FiniteField(p, 1)
             self.poly = h
+            self.basis_valuations = tuple(range(e))
+            pi, d_over_pi, d = (0, 1), tuple(-c for c in h[1:]), h[0]
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.n = self.e * self.f
         self.deg = len(self.poly) - 1
+        self._pi_powers = [tuple(self._reduce_poly(c)) for c in ((1,), pi)]
+        self._pi_inverse_powers = [self._pi_powers[0],
+                                   tuple(self._reduce_poly(d_over_pi))]
+        self._d_unit = d // p
         self._moduli = {}
-        self._p_units = {}
         self.M = M if M is not None else 12 * self.e
         if self.M < 1:
             raise ValueError("working precision must be >= 1")
@@ -128,36 +142,30 @@ class LocalField:
 
     def coeff_moduli(self, prec):
         """The coefficient moduli of an element known mod m_K^prec,
-        computed once per prec.
-
-        Unramified basis powers are units, so every coefficient carries the
-        full integer precision; Eisenstein basis powers are uniformizer
-        powers, so coefficient i is only determined mod p^ceil((prec-i)/e).
-        """
+        computed once per prec: coefficient i, on a basis vector of
+        valuation v_i, is only determined mod p^ceil((prec - v_i)/e)."""
         mods = self._moduli.get(prec)
         if mods is None:
-            shifts = (range(self.deg) if self.kind == "eisenstein"
-                      else [0] * self.deg)
             mods = self._moduli[prec] = tuple(
-                self.p ** max(0, -(-(prec - i) // self.e)) for i in shifts)
+                self.p ** max(0, -(-(prec - v) // self.e))
+                for v in self.basis_valuations)
         return mods
 
+    def pi_power(self, k):
+        """pi^k as an exact integer vector in the power basis, memoized;
+        for k < 0, the vector of (d/pi)^-k = d^-k pi^k."""
+        powers = self._pi_powers if k >= 0 else self._pi_inverse_powers
+        while len(powers) <= abs(k):
+            powers.append(tuple(self._times(powers[-1], powers[1])))
+        return powers[abs(k)]
+
     def p_unit(self, prec):
-        """The unit u = p / pi^e of an Eisenstein field, known mod
-        m_K^prec and computed once per prec: the Eisenstein relation
-        pi^e = -(h_0 + h_1 pi + ... + h_{e-1} pi^{e-1}) makes
-        1/u = -(h_0 + h_1 pi + ...)/p."""
-        u = self._p_units.get(prec)
-        if u is None:
-            u = self._p_units[prec] = self.element(
-                [-(c // self.p) for c in self.poly[:-1]], prec=prec).invert()
-        return u
+        """The unit u = p / pi^e, known mod m_K^prec."""
+        return self.element([self.p], prec + self.e).shift_down(self.e)
 
     @property
     def uniformizer(self) -> "OElement":
-        if self.kind == "unramified":
-            return self.element([self.p])
-        return self.element([0, 1])
+        return self.element(self.pi_power(1))
 
     def zero(self, prec=None):
         return self.element([0], prec=prec)
@@ -193,12 +201,16 @@ class LocalField:
         den //= self.p ** vd
         # prec is absolute: the result is known modulo m_K^prec
         unit_prec = max(1, prec - shift)
-        mod = self.p ** self.int_prec(unit_prec + self.e)
-        unit = self.element([(num * pow(den, -1, mod)) % mod], prec=unit_prec)
-        # p^k = pi^(e*k) * u^k with u = p / pi^e
-        if vn != vd and self.kind == "eisenstein":
-            u = self.p_unit(unit_prec)
-            unit = unit * (u ** (vn - vd) if vn > vd else u.invert() ** (vd - vn))
+        mod = self.p ** self.int_prec(unit_prec + max(shift, 0) + self.e)
+        w = (num * pow(den, -1, mod)) % mod
+        if shift >= 0:
+            unit = self.element([w * self.p ** (vn - vd)],
+                                prec=unit_prec + shift).shift_down(shift)
+        else:
+            # q / pi^shift = w * pi^-shift / p^(vd - vn), exactly
+            pk = self.p ** (vd - vn)
+            unit = OElement(self, [w * (c // pk) for c in self.pi_power(-shift)],
+                            unit_prec)
         return KElement(unit, shift)
 
     def embed_integral_rational(self, q, prec=None) -> "OElement":
@@ -243,6 +255,12 @@ class LocalField:
         return OElement(self, self._reduce_poly(acc), prec)
 
     # -- reduction of polynomial representatives ---------------------------
+
+    def _times(self, xs, ys):
+        """xs * ys reduced modulo the defining polynomial, exactly."""
+        acc = [0] * (2 * self.deg - 1)
+        _add_product(acc, xs, ys)
+        return self._reduce_poly(acc)
 
     def _reduce_poly(self, coeffs):
         """Reduce an integer coefficient list modulo the defining polynomial."""
@@ -293,12 +311,9 @@ class OElement:
         if v < 0:
             f = self.field
             v = self.prec
-            for i, c in enumerate(self.coeffs):
+            for c, vb in zip(self.coeffs, f.basis_valuations):
                 if c:
-                    # unramified basis powers are units; Eisenstein ones
-                    # carry valuation i
-                    off = i if f.kind == "eisenstein" else 0
-                    v = min(v, f.e * _vp(c, f.p) + off)
+                    v = min(v, f.e * _vp(c, f.p) + vb)
             self._v = v
         return v
 
@@ -393,10 +408,9 @@ class OElement:
         """Image in the residue field k; kernel of this map is m_K."""
         if self.prec < 1:
             raise PrecisionExhausted("no digits known; cannot reduce")
-        f = self.field
-        if f.kind == "unramified":
-            return f.residue.element([c % f.p for c in self.coeffs])
-        return f.residue.element(self.coeffs[0] % f.p)
+        # the residue field keeps the first f coefficients: every
+        # basis vector past them lies in m_K
+        return self.field.residue.element(self.coeffs)
 
     def is_unit(self):
         return bool(self.reduce())
@@ -409,11 +423,7 @@ class OElement:
             raise NotInvertible(f"0 mod m^{self.prec} is not invertible")
         if not self.is_unit():
             raise NotInvertible("non-unit of O_K; invert via KElement")
-        r = self.reduce().inverse()
-        if f.kind == "unramified":
-            z = f.element(list(r.coeffs), prec=self.prec)
-        else:
-            z = f.element([r.as_int()], prec=self.prec)
+        z = f.element(self.reduce().inverse().coeffs, prec=self.prec)
         # quadratic convergence: precision doubles each step
         steps = max(1, math.ceil(math.log2(max(2, self.prec))) + 1)
         two = f.element([2], prec=self.prec)
@@ -422,7 +432,8 @@ class OElement:
         return OElement(f, z.coeffs, self.prec)
 
     def shift_down(self, k: int) -> "OElement":
-        """Exact division by the k-th power of the uniformizer.
+        """Exact division by the k-th power of the uniformizer:
+        x / pi^k = x * (d/pi)^k / d^k, with d/p an integer unit.
 
         Requires v_K(self) >= k (or apparent zero); precision drops by k.
         """
@@ -432,35 +443,20 @@ class OElement:
         v = self.valuation_or_none()
         if v is not None and v < k:
             raise ValueError(f"valuation {v} < {k}; not divisible")
-        if f.kind == "unramified":
-            q = f.p ** k
-            return OElement(f, [c // q for c in self.coeffs], self.prec - k)
-        out = self
-        # peel one power of pi at a time: x/pi = x * pi^(e-1) / pi^e, and
-        # pi^e = p / u with u = p_unit from the Eisenstein relation
-        u = f.p_unit(max(1, self.prec))
-        for _ in range(k):
-            # multiply by pi^(e-1): shift up, then reduce mod poly
-            red = f._reduce_poly([0] * (f.e - 1) + list(out.coeffs))
-            tmp = OElement(f, red, out.prec + f.e - 1) * u
-            if any(c % f.p for c in tmp.coeffs):
-                # only possible through precision loss; treat as inexact zero digits
-                raise PrecisionExhausted("division by uniformizer lost all digits")
-            out = OElement(f, [c // f.p for c in tmp.coeffs], tmp.prec - f.e)
-        return out
+        y = f._times(self.coeffs, f.pi_power(-k))
+        q = f.p ** k
+        if any(c % q for c in y):
+            # only possible through precision loss; treat as inexact zero digits
+            raise PrecisionExhausted("division by uniformizer lost all digits")
+        s = pow(f._d_unit, -k, f.coeff_modulus(0, self.prec - k))
+        return OElement(f, [c // q * s for c in y], self.prec - k)
 
     def shift_up(self, k: int) -> "OElement":
         """Multiplication by the k-th power of the uniformizer."""
-        f = self.field
         if k == 0:
             return self
-        if f.kind == "unramified":
-            q = f.p ** k
-            return OElement(f, [c * q for c in self.coeffs], self.prec + k)
-        out = self.coeffs
-        for _ in range(k):
-            out = f._reduce_poly([0] + list(out))
-        return OElement(f, out, self.prec + k)
+        f = self.field
+        return OElement(f, f._times(self.coeffs, f.pi_power(k)), self.prec + k)
 
     def as_k(self) -> "KElement":
         v = self.valuation_or_none()

@@ -355,14 +355,15 @@ class AdditivePoly:
 
 
 def _fp_kernel(mat, p):
-    """Kernel basis of an n x n matrix over F_p by Gaussian elimination."""
-    n = len(mat)
+    """Kernel basis of an nrows x n matrix over F_p by Gaussian elimination:
+    one vector per free column, with a 1 there."""
+    nrows, n = len(mat), len(mat[0])
     m = [row[:] for row in mat]
     pivots = {}
     row = 0
     for col in range(n):
         piv = None
-        for r in range(row, n):
+        for r in range(row, nrows):
             if m[r][col] % p:
                 piv = r
                 break
@@ -371,7 +372,7 @@ def _fp_kernel(mat, p):
         m[row], m[piv] = m[piv], m[row]
         inv = pow(m[row][col], -1, p)
         m[row] = [(c * inv) % p for c in m[row]]
-        for r in range(n):
+        for r in range(nrows):
             if r != row and m[r][col] % p:
                 f = m[r][col]
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]

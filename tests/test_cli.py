@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from jsonschema.validators import validator_for
 
 import e0struct
-from e0struct.cli import DESCRIPTOR_SCHEMA, main
+from e0struct.cli import DESCRIPTOR_SCHEMA, _embed_coeff, main
 from e0struct.curve import Transform
 from e0struct.local_field import LocalField
 
@@ -208,6 +208,35 @@ def test_rational_string_coefficients(runner, tmp_path):
     res = runner.invoke(main, ["classify", write_desc(tmp_path, desc)])
     assert res.exit_code == 0
     assert res.output.startswith("Z_5 x Z/5Z")
+
+
+@pytest.mark.parametrize("field", [{"kind": "unramified", "n": 2},
+                                   {"kind": "eisenstein", "poly": [-5, 0, 1]}])
+def test_coefficient_vector_entries_are_p_integral(runner, field):
+    # [DERIVED] a vector entry is accepted exactly when it is p-integral,
+    # the same rule over both kinds: a vector [c, 0] builds the same
+    # curve as the scalar c, and a denominator divisible by p is refused
+    scalars = {"p": 5, "field": field, "a": [0, "40/2", "-5/3", "-15/4", 0],
+               "precision": 12}
+    vectors = dict(scalars, a=[[c, 0] for c in scalars["a"]])
+    outs = [runner.invoke(main, ["normalize", "--json", "-"],
+                          input=json.dumps(desc)) for desc in (scalars, vectors)]
+    assert [r.exit_code for r in outs] == [0, 0]
+    assert outs[1].output == outs[0].output
+    bad = dict(vectors, a=[[0], ["1/5", 0], [5], [5], [5]])
+    res = runner.invoke(main, ["classify", "-"], input=json.dumps(bad))
+    assert res.exit_code == 1
+    assert res.stderr == "error: coefficient 1/5 in vector is not p-integral\n"
+
+
+@pytest.mark.parametrize("field", [LocalField.unramified(5, 2),
+                                   LocalField.eisenstein(2, (-2, 2, 1))])
+def test_coefficient_vector_is_read_mod_h(field):
+    # [DERIVED] a vector longer than the basis is the same polynomial in X
+    # reduced mod h: X^deg = -(h_0 + h_1 X + ...)
+    h = field.poly
+    assert (_embed_coeff(field, [0] * field.deg + [1])
+            == field.element([-c for c in h[:-1]]))
 
 
 def test_descriptor_schema_is_valid():

@@ -1,9 +1,12 @@
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "e0struct"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "e0struct"
 
 
 def _names_in(node):
@@ -55,3 +58,22 @@ def _unused_imports(path):
 def test_no_unused_imports(module):
     # [DERIVED] every name a module imports is read somewhere in it
     assert _unused_imports(PACKAGE / f"{module}.py") == []
+
+
+def test_trace_targets_resolve():
+    # [DERIVED] the benchmark's trace mode (perfbench/tracer.py) patches
+    # these program names; a refactor that drops one breaks
+    # `perfbench/run.py --trace 1`, which no other test runs
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import e0struct.cli  # noqa: F401  loads every program module
+    for _name, modname, attr in tracer.TIMED + tracer.COUNTED:
+        owner, key = tracer._resolve(modname, attr)
+        assert callable(getattr(owner, key, None)), (modname, attr)
+    fg = sys.modules["e0struct.formal_group"]
+    for cache in ("_GEN_F", "_GEN_MULT", "_GEN_LOG"):
+        assert isinstance(getattr(fg, cache, None), dict), cache
+    ff = sys.modules["e0struct.residue_field"].FiniteField
+    assert callable(getattr(ff, "__iter__", None))

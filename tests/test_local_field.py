@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,70 @@ def test_embed_rational_non_pure_eisenstein(poly):
     assert K.embed_integral_rational(6) == K.element([6])
     assert K.element([p]) == p
     assert K.embed_rational(Fraction(1, p)) * K.element([p]) == 1
+
+
+# the presentation over both kinds: (p, n) unramified, or an Eisenstein h;
+# the last three have h(0)/p != +-1, and x - 10 has e = 1
+PRESENTATIONS = [(2, 1), (5, 1), (3, 2), (3, 3),
+                 (2, (-2, 0, 1)), (2, (-2, 2, 1)), (3, (-3, 3, -3, 1)),
+                 (5, (-10, 0, 1)), (2, (-6, 2, 1)), (5, (-10, 1))]
+
+
+def _presented(p, n_or_poly):
+    if isinstance(n_or_poly, int):
+        return LocalField.unramified(p, n_or_poly)
+    return LocalField.eisenstein(p, n_or_poly)
+
+
+def _random_element(K, rng, prec):
+    big = K.p ** (K.int_prec(K.M) + 1)
+    return K.element([rng.randrange(big) for _ in range(K.deg)], prec=prec)
+
+
+@pytest.mark.parametrize("p, n_or_poly", PRESENTATIONS)
+def test_shifts_are_multiplication_and_division_by_pi(p, n_or_poly):
+    # [DERIVED] shift_up(k) is the product with pi^k, shift_down(k) its
+    # exact inverse, and each moves the precision by exactly k
+    K = _presented(p, n_or_poly)
+    rng = random.Random(f"shift/{p}/{n_or_poly}")
+    pi = K.uniformizer
+    for k in range(2 * K.e + 2):
+        for _ in range(6):
+            x = _random_element(K, rng, rng.randrange(1, K.M + 1))
+            y = x * pi ** k
+            up = x.shift_up(k)
+            assert up.prec == x.prec + k
+            assert up == y
+            back = up.shift_down(k)
+            assert (back.coeffs, back.prec) == (x.coeffs, x.prec)
+            down = y.shift_down(k)
+            assert down.prec == y.prec - k
+            assert down == x
+            assert down.as_k() == y.as_k() / pi.as_k() ** k
+
+
+@pytest.mark.parametrize("p, n_or_poly", PRESENTATIONS)
+def test_pi_power_is_the_uniformizer_power(p, n_or_poly):
+    # [DERIVED] the exact vector of pi^k, read at the precision of
+    # uniformizer ** k, is that element; and p = u * pi^e
+    K = _presented(p, n_or_poly)
+    for k in range(2 * K.e + 2):
+        power = K.uniformizer ** k
+        mods = K.coeff_moduli(power.prec)
+        assert tuple(c % m for c, m in zip(K.pi_power(k), mods)) == power.coeffs
+    assert K.p_unit(K.M) * K.uniformizer ** K.e == K.element([p])
+
+
+@pytest.mark.parametrize("p, n_or_poly", PRESENTATIONS)
+def test_residue_lift_and_basis_valuations(p, n_or_poly):
+    # [DERIVED] the first f coefficients lift the residue field, and
+    # p^j X^i has valuation e*j + v(X^i), v(X^i) = i for Eisenstein, 0
+    # for unramified
+    K = _presented(p, n_or_poly)
+    for xbar in K.residue:
+        assert K.element(list(xbar.coeffs)).reduce() == xbar
+    eisenstein = not isinstance(n_or_poly, int)
+    for i in range(K.deg):
+        for j in range(3):
+            x = K.element([0] * i + [p ** j])
+            assert x.valuation() == K.e * j + (i if eisenstein else 0)

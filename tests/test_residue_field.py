@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from e0struct.residue_field import (AdditivePoly, FiniteField,
+from e0struct.residue_field import (AdditivePoly, FiniteField, _fp_kernel,
                                     additive_poly_roots, ff_norm, frobenius)
 
 
@@ -123,3 +123,27 @@ def test_additive_poly_roots_match_exhaustive_search(p, n):
 def test_non_prime_rejected():
     with pytest.raises(ValueError):
         FiniteField(6, 1)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 1), (5, 1), (1, 2),
+                                        (1, 4), (2, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_kernel_of_rectangular_matrices(rows, cols, p):
+    # [ORACLE] the kernel basis of a rows x cols matrix mod p spans
+    # exactly the vectors that a brute-force search finds: e x 1 as the
+    # ramified g-map uses it, 1 x f, and square
+    rng = random.Random(f"kernel/{rows}/{cols}/{p}")
+    for trial in range(8):
+        # every fourth matrix has entries 0 and p - 1 only, so that zero
+        # rows, zero columns and full kernels occur
+        mat = [[rng.randrange(p) if trial % 4 else rng.randrange(2) * (p - 1)
+                for _ in range(cols)] for _ in range(rows)]
+        basis = _fp_kernel(mat, p)
+        assert all(len(v) == cols for v in basis)
+        kernel = {v for v in itertools.product(range(p), repeat=cols)
+                  if all(sum(a * x for a, x in zip(row, v)) % p == 0
+                         for row in mat)}
+        span = {tuple(sum(c * b[i] for c, b in zip(combo, basis)) % p
+                      for i in range(cols))
+                for combo in itertools.product(range(p), repeat=len(basis))}
+        assert span == kernel and len(kernel) == p ** len(basis)
