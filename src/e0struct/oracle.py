@@ -1,23 +1,23 @@
 """Brute-force finite-quotient oracle: the group induced by the formal
-sum F on O_K/m_K^M, its p-rank via iterated self-addition, and the
-[p]-kernel count, compared against a classification report.
+sum F on O_K/m_K^M, its p-rank and its [p]-kernel count, compared
+against a classification report.
 
 The group law here is rebuilt numerically per curve (numpy integer
-arithmetic over O_K/p^k), sharing no series code with formal_group;
-only the [p]-kernel count reuses the engine's specialized [p] series,
-deliberately cross-validating the two.  All arithmetic runs through
-three primitives of _Ring (a ring product, a truncated series product
-and a polynomial evaluation), whose worst-case int64 intermediate is
-checked before a model is built."""
+arithmetic over O_K/p^k), sharing no series code with formal_group.
+The two counts check each other: p_rank adds points (p*x by
+double-and-add), kernel_count composes series ([p](T) from F), and the
+tests compare that [p](T) with the engine's.  All arithmetic runs
+through three primitives of _Ring (a ring product, a truncated series
+product and a polynomial evaluation), whose worst-case int64
+intermediate is checked before a model is built."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .formal_group import specialized_mult_by_n, tail_valuation
+from .formal_group import tail_valuation
 
 SIZE_BOUND = 2 ** 16
 
@@ -59,7 +59,13 @@ class _Ring:
         (r+1)(c+1) <= (D+2)^2/4 at the coefficient (r, c), r + c <= D, of
         series_mul, and D+1 <= (D+2)^2/4 in evaluate.  Each of the d-1
         reduction steps by the defining polynomial grows the magnitude by
-        at most a factor 1 + H, H its largest lower coefficient."""
+        at most a factor 1 + H, H its largest lower coefficient.  Every
+        factor lies in [0, q), so this covers each product a model makes:
+        the chord's and the negation's series_mul (t3 by the unit inverse)
+        and mul (a1 t3, a3 w3), invert_unit (2 - az is reduced first), and
+        evaluate at the G table, at each addition, at each doubling (the
+        diagonal F(T, T) sums up to D+1 entries below q per coefficient,
+        reduced mod q before it is evaluated) and at the series of [p]."""
         d = self.d
         H = max(abs(c) for c in self.poly[:d])
         return (D + 2) ** 2 // 4 * d * (self.q - 1) ** 2 * (1 + H) ** (d - 1)
@@ -176,15 +182,15 @@ def _numeric_w(ring, a, D):
     return w
 
 
-def _numeric_F(ring, a, D):
-    """The group law F(T1, T2) mod p^kd, truncated at total degree D, as
-    an array (D+1, D+1, d): the chord construction in modular arithmetic."""
+def _numeric_chord(ring, a, D):
+    """The third point (t3, w3) of the chord through (S, w(S)) and
+    (T, w(T)), as series (D+1, D+1, d) mod p^kd truncated at total
+    degree D."""
     a1, a2, a3, a4, a6 = a
     q, mul, smul = ring.q, ring.mul, ring.series_mul
     w = _numeric_w(ring, a, D + 1)
-    # the chord through (S, w(S)) and (T, w(T)): its slope
-    # lam = (w(S) - w(T))/(S - T) has w_{i+j+1} at S^i T^j, and its
-    # intercept nu = w(S) - lam S has -w_{i+j} at i, j >= 1
+    # the slope lam = (w(S) - w(T))/(S - T) has w_{i+j+1} at S^i T^j,
+    # and the intercept nu = w(S) - lam S has -w_{i+j} at i, j >= 1
     i = np.arange(D + 1)
     deg = i[:, None] + i
     kept = (deg <= D)[..., None]
@@ -200,23 +206,18 @@ def _numeric_F(ring, a, D):
     t3 = -smul(B, ring.invert_unit(A % q))
     t3[1, 0, 0] -= 1
     t3[0, 1, 0] -= 1
-    # F = i(t3), with the series i of the inverse
-    return ring.evaluate(_numeric_inverse(ring, a, w, D), t3 % q,
-                         series=True)
+    t3 %= q
+    return t3, (smul(lam, t3) + nu) % q
 
 
-def _numeric_inverse(ring, a, w, D):
-    """Coefficients (D+1, d) of i(t) = t*(-1 + a1 t + a3 w(t))^{-1}
-    mod p^kd."""
-    q = ring.q
-    a1, a3 = a[0], a[2]
-    neg_den = -ring.mul(w[:D + 1], a3)  # 1 - a1 t - a3 w(t)
-    neg_den[0, 0] += 1
-    neg_den[1] -= a1
-    inv = -ring.invert_unit(neg_den % q) % q
-    out = np.zeros_like(inv)
-    out[1:] = inv[:-1]
-    return out
+def _numeric_F(ring, a, D):
+    """The group law F(T1, T2) mod p^kd, truncated at total degree D, as
+    an array (D+1, D+1, d): the chord's third point negated,
+    F = -t3 (1 - a1 t3 - a3 w3)^{-1}."""
+    t3, w3 = _numeric_chord(ring, a, D)
+    den = -(ring.mul(t3, a[0]) + ring.mul(w3, a[2]))
+    den[0, 0, 0] += 1
+    return -ring.series_mul(t3, ring.invert_unit(den % ring.q)) % ring.q
 
 
 class FiniteModel:
@@ -251,10 +252,9 @@ class FiniteModel:
         a = np.array([[c % q for c in ai.coeffs] for ai in E.a],
                      dtype=np.int64)
         self.F = _numeric_F(self.ring, a, D)
-        # residues: all canonical coordinate vectors
-        self.residues = np.array(
-            list(itertools.product(*(range(m) for m in self.moduli))),
-            dtype=np.int64)
+        # residues: all canonical coordinate vectors, in lexicographic order
+        self.residues = np.indices(self.moduli, dtype=np.int64).reshape(
+            d, -1).T
         self._mp_coeffs = None
         self._spot_checks()
 
@@ -289,15 +289,26 @@ class FiniteModel:
 
     # -- group facts -------------------------------------------------------
 
+    def times_p(self, X):
+        """p*x for the rows x of X by double-and-add over the bits of p: a
+        doubling evaluates the diagonal F(T, T), an addition of x reuses
+        one G table of X.  F is exact mod m^M at every point of O_K, so
+        every bracketing of x + ... + x has the same residue."""
+        D, q = self.D, self.ring.q
+        diag = np.array([np.trace(self.F[:, ::-1], offset=D - k)
+                         for k in range(D + 1)]) % q
+        bits = bin(self.field.p)[3:]
+        G = self._g_rows(X) if "1" in bits else None
+        Z = X
+        for bit in bits:
+            Z = self.ring.evaluate(diag, Z)
+            if bit == "1":
+                Z = self.add_batch(Z, X, G=G)
+        return Z
+
     def p_rank(self):
-        """log_p #{x : x + ... + x (p times) = 0}, by iterated addition
-        that reuses one G table."""
-        X = self.residues
-        G = self._g_rows(X)
-        Z = X.copy()
-        for _ in range(self.field.p - 1):
-            Z = self.add_batch(Z, X, G=G)
-        count = int(self.is_zero(Z).sum())
+        """log_p #{x : p*x = 0}, with p*x from times_p."""
+        count = int(self.is_zero(self.times_p(self.residues)).sum())
         rank = 0
         while self.field.p ** rank < count:
             rank += 1
@@ -322,19 +333,6 @@ class FiniteModel:
                 u %= ring.q
             self._mp_coeffs = u
         return self._mp_coeffs
-
-    def engine_mult_p_series(self):
-        """[p](T) from the engine's specialized tangent-chord route, in
-        the same array shape; fixture tests assert it matches
-        mult_p_series."""
-        mp = specialized_mult_by_n(self.E.a, self.field.p, self.D)
-        d, D = self.ring.d, self.D
-        out = np.zeros((D + 1, d), dtype=np.int64)
-        for (m,), c in mp.c.items():
-            vec = list(c.coeffs) if hasattr(c, "coeffs") else [c]
-            vec += [0] * (d - len(vec))
-            out[m] = [v % self.ring.q for v in vec]
-        return out
 
     def _kernel_flags(self):
         return self.is_zero(self.ring.evaluate(self.mult_p_series(),

@@ -1,14 +1,30 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from e0struct.classifier import ClassificationReport, GroupStructure, classify_general
+from e0struct.classifier import (ClassificationReport, GroupStructure,
+                                 classify_general, random_normalized_curve)
 from e0struct.curve import WeierstrassCurve
+from e0struct.formal_group import specialized_mult_by_n
 from e0struct.local_field import LocalField
-from e0struct.oracle import ModelTooLarge, _Ring, compare, finite_model, p_rank
+from e0struct.oracle import (FiniteModel, ModelTooLarge, _numeric_chord,
+                             _numeric_w, _Ring, compare, finite_model, p_rank)
 
 from conftest import FIXTURE_COEFFS, make_curve
+
+
+def _engine_mult_p_series(m):
+    """[p](T) from the engine's specialized tangent-chord route, in the
+    array shape of FiniteModel.mult_p_series."""
+    mp = specialized_mult_by_n(m.E.a, m.field.p, m.D)
+    out = np.zeros((m.D + 1, m.ring.d), dtype=np.int64)
+    for (e,), c in mp.c.items():
+        vec = list(c.coeffs) if hasattr(c, "coeffs") else [c]
+        vec += [0] * (m.ring.d - len(vec))
+        out[e] = [v % m.ring.q for v in vec]
+    return out
 
 
 def test_level_one_model_is_residue_group(Q3):
@@ -49,7 +65,7 @@ def test_engine_and_chain_mult_p_agree(Q2, Q3):
         p, a = FIXTURE_COEFFS[name]
         E = make_curve({2: Q2, 3: Q3}[p], a)
         m = finite_model(E, 3)
-        assert np.array_equal(m.mult_p_series(), m.engine_mult_p_series())
+        assert np.array_equal(m.mult_p_series(), _engine_mult_p_series(m))
 
 
 def test_stabilization(Q3):
@@ -127,7 +143,7 @@ def test_level_one_model_over_cubic_eisenstein():
     m = finite_model(E, 1)
     assert m.D == 8
     assert (m.order, m.p_rank(), m.kernel_count()) == (3, 1, 3)
-    assert np.array_equal(m.mult_p_series(), m.engine_mult_p_series())
+    assert np.array_equal(m.mult_p_series(), _engine_mult_p_series(m))
 
 
 def test_int64_bound_refuses_p1087():
@@ -231,3 +247,96 @@ def test_evaluate_matches_horner():
                                     field.poly, ring.q)
                 acc = [(x + int(c)) % ring.q for x, c in zip(acc, C[r, j])]
             assert list(got[r, n]) == acc
+
+
+# -- references for the p-fold sum and the negation ---------------------------
+
+def _p_fold_reference(m):
+    """p*x at every residue by p - 1 additions of the fixed summand x,
+    reusing one G table."""
+    X = m.residues
+    G = m._g_rows(X)
+    Z = X.copy()
+    for _ in range(m.field.p - 1):
+        Z = m.add_batch(Z, X, G=G)
+    return Z
+
+
+def _F_by_inverse_series(m):
+    """F = i(t3): the series i(t) = t (-1 + a1 t + a3 w(t))^{-1} evaluated
+    at t3 through a power table of bivariate series products."""
+    ring, D = m.ring, m.D
+    q = ring.q
+    a = np.array([[c % q for c in ai.coeffs] for ai in m.E.a],
+                 dtype=np.int64)
+    w = _numeric_w(ring, a, D + 1)
+    neg_den = -ring.mul(w[:D + 1], a[2])  # 1 - a1 t - a3 w(t)
+    neg_den[0, 0] += 1
+    neg_den[1] -= a[0]
+    inv = -ring.invert_unit(neg_den % q) % q
+    i_coeffs = np.zeros_like(inv)
+    i_coeffs[1:] = inv[:-1]
+    t3, _ = _numeric_chord(ring, a, D)
+    return ring.evaluate(i_coeffs, t3, series=True)
+
+
+def _cubic_eisenstein_curve():
+    f = LocalField.eisenstein(3, (-3, 3, -3, 1), 9)
+    pi = f.element((0, 1))
+    return WeierstrassCurve(f, pi, f.zero(), f.zero(), f.zero(), pi)
+
+
+REFERENCE_MODELS = {
+    "Q_2-M4": lambda: (make_curve(LocalField.unramified(2, 1, 12),
+                                  FIXTURE_COEFFS["E2"][1]), 4),
+    "F_4-M3": lambda: (random_normalized_curve(
+        LocalField.unramified(2, 2, 12), random.Random(4)), 3),
+    "F_27-M2": lambda: (random_normalized_curve(
+        LocalField.unramified(3, 3, 12), random.Random(27)), 2),
+    "Q_5-M6": lambda: (make_curve(LocalField.unramified(5, 1, 12),
+                                  FIXTURE_COEFFS["E5"][1]), 6),
+    "F_49-M2": lambda: (random_normalized_curve(
+        LocalField.unramified(7, 2, 12), random.Random(49)), 2),
+    "x^2-17-M3": lambda: (random_normalized_curve(
+        LocalField.eisenstein(17, (-17, 0, 1), 8), random.Random(17)), 3),
+    "cubic-M1": lambda: (_cubic_eisenstein_curve(), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_MODELS))
+def test_double_and_add_and_negation_match_references(name):
+    # [DERIVED] the chain's p*x equals the p-fold sum at every residue,
+    # and F by one negation equals F = i(t3) bit for bit
+    E, M = REFERENCE_MODELS[name]()
+    m = finite_model(E, M)
+    assert np.array_equal(m.F, _F_by_inverse_series(m))
+    assert np.array_equal(m.canonical(m.times_p(m.residues)),
+                          m.canonical(_p_fold_reference(m)))
+    # the residues keep the lexicographic order kernel_witnesses reports
+    assert m.residues.tolist() == [
+        list(r) for r in itertools.product(*(range(k) for k in m.moduli))]
+
+
+def test_p_rank_evaluation_count(monkeypatch):
+    # [DERIVED] p = 31 = 0b11111: 4 doublings, 4 additions and one G
+    # table, so at most popcount - 1 = 4 add_batch calls and
+    # bit_length + popcount - 1 = 9 evaluations in all
+    field = LocalField.eisenstein(31, (-31, 0, 1), 8)
+    m = finite_model(random_normalized_curve(field, random.Random(31)), 3)
+    assert m.order == 31 ** 3
+    calls = {"add_batch": 0, "evaluate": 0}
+
+    def counted(cls, name):
+        inner = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(FiniteModel, "add_batch")
+    counted(_Ring, "evaluate")
+    m.p_rank()
+    p = 31
+    assert 0 < calls["add_batch"] <= bin(p).count("1") - 1
+    assert calls["evaluate"] <= p.bit_length() + bin(p).count("1") - 1
