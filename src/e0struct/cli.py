@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
 import click
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
@@ -28,44 +27,55 @@ from .residue_field import is_prime
 EXIT_OK, EXIT_ERROR, EXIT_EXPLORATORY = 0, 1, 2
 SYMBOLIC_DEGREE_BOUND = 24
 
-_RATIONAL = {"anyOf": [{"type": "integer"},
-                       {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}]}
-_COEFF = {"anyOf": [_RATIONAL,
-                    {"type": "array", "items": _RATIONAL, "minItems": 1}]}
-_POINT = {"anyOf": [{"const": "infinity"},
-                    {"type": "object",
-                     "properties": {"x": _COEFF, "y": _COEFF},
-                     "required": ["x", "y"],
-                     "additionalProperties": False}]}
-
-DESCRIPTOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "integer", "minimum": 2},
-        "field": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["unramified", "eisenstein"]},
-                "n": {"type": "integer", "minimum": 1},
-                "poly": {"type": "array", "items": {"type": "integer"},
-                         "minItems": 2},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "a": {"type": "array", "items": _COEFF,
-              "minItems": 5, "maxItems": 5},
-        "precision": {"type": "integer", "minimum": 1},
-        "points": {"type": "array", "items": _POINT},
-    },
-    "required": ["p", "field", "a"],
-    "additionalProperties": False,
-}
-_DESCRIPTOR_VALIDATOR = validator_for(DESCRIPTOR_SCHEMA)(DESCRIPTOR_SCHEMA)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # d != 0
 
 
 class DescriptorError(ValueError):
     pass
+
+
+def _require(ok, rule):
+    if not ok:
+        raise DescriptorError(f"descriptor schema: {rule}")
+
+
+def _has_keys(o, required, optional=frozenset()):
+    return isinstance(o, dict) and required <= o.keys() <= required | optional
+
+
+def _is_coeff(v):
+    """A rational (an int or an "n/d" string) or a non-empty list of them."""
+    return v != [] and all(
+        type(c) is int or isinstance(c, str) and _RATIONAL.fullmatch(c)
+        for c in (v if isinstance(v, list) else [v]))
+
+
+def _check_descriptor(d):
+    """Every rule a descriptor must meet, checked before anything is built."""
+    _require(_has_keys(d, {"p", "field", "a"}, {"precision", "points"}),
+             "keys are 'p', 'field', 'a' and optionally 'precision', 'points'")
+    f, a, points = d["field"], d["a"], d.get("points", [])
+    _require(_has_keys(f, {"kind"}, {"n", "poly"}),
+             "'field' keys are 'kind' and optionally 'n', 'poly'")
+    for obj, key, least in ((d, "p", 2), (d, "precision", 1), (f, "n", 1)):
+        v = obj.get(key, least)
+        _require(type(v) is int and v >= least,  # refuses true and 5.0
+                 f"{key!r} must be an integer >= {least}")
+    _require(f["kind"] in ("unramified", "eisenstein"),
+             "'kind' must be 'unramified' or 'eisenstein'")
+    _require("poly" in f or f["kind"] == "unramified",
+             "eisenstein field needs a 'poly'")
+    poly = f.get("poly", [0, 0])
+    _require(isinstance(poly, list) and len(poly) >= 2
+             and all(type(c) is int for c in poly),
+             "'poly' must be a list of at least 2 integers")
+    _require(isinstance(a, list) and len(a) == 5 and all(map(_is_coeff, a)),
+             "'a' must hold 5 coefficients, each an integer, an \"n/d\" "
+             "string or a non-empty list of them")
+    _require(isinstance(points, list) and all(
+        pt == "infinity" or _has_keys(pt, {"x", "y"})
+        and _is_coeff(pt["x"]) and _is_coeff(pt["y"]) for pt in points),
+        "each point must be \"infinity\" or {\"x\": ..., \"y\": ...}")
 
 
 def load_descriptor(text: str) -> dict:
@@ -73,20 +83,15 @@ def load_descriptor(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc}") from exc
-    error = best_match(_DESCRIPTOR_VALIDATOR.iter_errors(data))
-    if error is not None:
-        raise DescriptorError(f"descriptor schema: {error.message}")
+    _check_descriptor(data)
     return data
 
 
 def build_field(desc: dict, precision=None) -> LocalField:
-    p = desc["p"]
-    f = desc["field"]
+    p, f = desc["p"], desc["field"]
     M = precision if precision is not None else desc.get("precision")
     if f["kind"] == "unramified":
         return LocalField.unramified(p, f.get("n", 1), M)
-    if "poly" not in f:
-        raise DescriptorError("eisenstein field needs a 'poly'")
     return LocalField.eisenstein(p, f["poly"], M)
 
 
@@ -115,9 +120,7 @@ def build_curve(field: LocalField, desc: dict) -> WeierstrassCurve:
 def build_point(E: WeierstrassCurve, pt):
     if pt == "infinity":
         return INFINITY
-    x = _embed_coeff(E.field, pt["x"]).as_k()
-    y = _embed_coeff(E.field, pt["y"]).as_k()
-    return E.point(x, y)
+    return E.point(*(_embed_coeff(E.field, pt[c]) for c in ("x", "y")))
 
 
 def _read_input(path):

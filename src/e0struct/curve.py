@@ -186,10 +186,8 @@ def reduction_type(E: WeierstrassCurve) -> ReductionType:
     k = E.field.residue
     p = k.p
     a1, a2, a3, a4, a6 = E.reduced_coeffs()
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    c4 = b2 * b2 - 24 * b4
+    # reduction is a ring map, so these are the invariants of the reduced a_i
+    b2, b4, b6, c4, c6 = (v.reduce() for v in (E.b2, E.b4, E.b6, E.c4, E.c6))
     node = bool(c4)
     if p == 2:
         if node:
@@ -202,7 +200,6 @@ def reduction_type(E: WeierstrassCurve) -> ReductionType:
         if p == 3:
             x0 = -b4 / b2 if node else frobenius_inverse(-b6)
         elif node:
-            c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
             x0 = -(c6 / c4 + b2) / 12
         else:
             x0 = -b2 / 12

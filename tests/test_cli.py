@@ -1,16 +1,10 @@
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from jsonschema.validators import validator_for
 
-import e0struct
-from e0struct.cli import DESCRIPTOR_SCHEMA, _embed_coeff, main
+from e0struct.cli import _embed_coeff, main
 from e0struct.curve import Transform
 from e0struct.local_field import LocalField
 
@@ -239,8 +233,38 @@ def test_coefficient_vector_is_read_mod_h(field):
             == field.element([-c for c in h[:-1]]))
 
 
-def test_descriptor_schema_is_valid():
-    validator_for(DESCRIPTOR_SCHEMA).check_schema(DESCRIPTOR_SCHEMA)
+POINT_DESC = dict(E5_DESC, points=[{"x": 1, "y": 1}])
+
+
+@pytest.mark.parametrize("edit", [
+    # integral floats passed the old schema, then raised TypeError
+    {"p": 5.0}, {"field": {"kind": "unramified", "n": 2.0}},
+    {"precision": 4.0}, {"p": True},
+    # a zero denominator, a trailing newline and non-ASCII digits
+    {"a": [0, 20, "5/0", -15, 0]}, {"a": [0, 20, "-5\n", -15, 0]},
+    {"a": [0, 20, "-\u0665", -15, 0]},
+    # one case per rule
+    {"p": 1}, {"field": {"kind": "ramified", "poly": [-5, 0, 1]}},
+    {"field": {"kind": "unramified", "n": 0}},
+    {"field": {"kind": "eisenstein", "poly": [-5]}},
+    {"a": [0, 20, -5, -15]}, {"a": [0, 20, -5, -15, 0, 0]},
+    {"a": [0, 20, "1/x", -15, 0]}, {"a": [0, 20, [], -15, 0]},
+    {"precision": 0}, {"points": [{"x": 1}]}, {"points": ["zero"]},
+    {"q": 1}, {"field": {"kind": "unramified", "n": 1, "m": 1}},
+    {"points": [{"x": 1, "y": 1, "z": 1}]}, {"field": {"kind": "eisenstein"}},
+], ids=["p-float", "n-float", "precision-float", "p-true", "zero-denominator",
+        "trailing-newline", "non-ascii-digit", "p1", "kind", "n0", "poly1",
+        "a4", "a6", "rational", "empty-vector", "precision0", "point-no-y",
+        "point-string", "extra-top-key", "extra-field-key", "extra-point-key",
+        "eisenstein-no-poly"])
+def test_descriptor_rule_is_enforced(runner, edit):
+    # [DERIVED] every broken rule ends in a message and exit code 1
+    desc = json.dumps(dict(POINT_DESC, **edit))
+    for argv in (["classify"], ["oracle", "-m", "2"], ["verify-point"]):
+        res = runner.invoke(main, argv + ["-"], input=desc)
+        assert res.exit_code == 1
+        assert "descriptor schema: " in res.stderr
+        assert "Traceback" not in res.output
 
 
 @pytest.mark.parametrize("desc, expected", [
@@ -344,17 +368,3 @@ def test_classify_unnormalized_large_residue_field(runner, desc, expected):
     assert res.exit_code == 0
     assert res.output == f"{expected}, method: 6e<p-1, certified\n"
     assert elapsed < 2.0
-
-
-def test_cli_import_loads_no_scipy():
-    # the oracle runs on numpy alone; a fresh interpreter shows what the
-    # import of the CLI pulls in
-    src = str(Path(e0struct.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, e0struct.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"

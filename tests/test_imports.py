@@ -1,5 +1,7 @@
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,3 +79,19 @@ def test_trace_targets_resolve():
         assert isinstance(getattr(fg, cache, None), dict), cache
     ff = sys.modules["e0struct.residue_field"].FiniteField
     assert callable(getattr(ff, "__iter__", None))
+
+
+def test_cli_import_loads_only_click_and_numpy():
+    # the oracle runs on numpy alone and the descriptor check on plain
+    # Python; a fresh interpreter shows which packages outside the standard
+    # library the import of the CLI pulls in
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; before = set(sys.modules); import e0struct.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['click', 'e0struct', 'numpy']"
