@@ -6,19 +6,17 @@ __version__ = "0.1.0"
 
 from .classifier import (ClassificationReport, GroupStructure,
                          classify_congruence, classify_general,
-                         classify_unramified, filtration_base_index,
-                         ramified_g_map, splitting_torsion)
+                         classify_unramified, ramified_g_map)
 from .curve import (CurvePoint, WeierstrassCurve, normalize_additive,
                     point_add, point_mul, psi_E0, reduce_point,
                     reduction_type)
 from .local_field import LocalField
-from .oracle import FiniteModel, compare, finite_model, p_rank
+from .oracle import FiniteModel, compare, finite_model
 
 __all__ = [
     "ClassificationReport", "GroupStructure", "classify_congruence",
-    "classify_general", "classify_unramified", "filtration_base_index",
-    "ramified_g_map", "splitting_torsion", "CurvePoint",
-    "WeierstrassCurve", "normalize_additive", "point_add", "point_mul",
-    "psi_E0", "reduce_point", "reduction_type", "LocalField",
-    "FiniteModel", "compare", "finite_model", "p_rank", "__version__",
+    "classify_general", "classify_unramified", "ramified_g_map",
+    "CurvePoint", "WeierstrassCurve", "normalize_additive", "point_add",
+    "point_mul", "psi_E0", "reduce_point", "reduction_type", "LocalField",
+    "FiniteModel", "compare", "finite_model", "__version__",
 ]

@@ -10,8 +10,8 @@ from fractions import Fraction
 from .curve import WeierstrassCurve, normalize_additive
 from .formal_group import (G_TABLE, a_mod_p2, eval_at, formal_log,
                            g_polynomial, mult_degree, specialized_mult_by_n)
-from .local_field import LocalField, PrecisionExhausted
-from .residue_field import additive_poly_roots, ff_norm, _fp_kernel
+from .local_field import PrecisionExhausted
+from .residue_field import additive_poly_roots, ff_norm
 
 
 class InternalInconsistency(AssertionError):
@@ -163,43 +163,6 @@ def classify_general(E: WeierstrassCurve) -> ClassificationReport:
     return report
 
 
-def filtration_base_index(field: LocalField) -> int:
-    """Smallest i with E_i(K) ~ Z_p^n and p E_i = E_{i+e} guaranteed."""
-    p, e = field.p, field.e
-    if p == 2:
-        return max(e, 1)
-    return e // (p - 1) + 1
-
-
-def splitting_torsion(mat, p, N):
-    """Kernel of g: (Z/p)^f -> (Z/p^N)^a given column-wise as an integer
-    matrix mod p^N.  Returns (kernel_dim, kernel_basis, image_columns).
-
-    Well-definedness on a p-torsion domain forces every column into
-    p^(N-1) * Z/p^N; that is validated, and the kernel is computed as an
-    F_p linear system after dividing the columns by p^(N-1)."""
-    if not mat or any(len(row) != len(mat[0]) for row in mat):
-        raise ValueError("malformed matrix")
-    a, f = len(mat), len(mat[0])
-    q = p ** N
-    scale = p ** (N - 1)
-    reduced = []
-    for row in mat:
-        r = []
-        for v in row:
-            v %= q
-            if v % scale:
-                raise ValueError(
-                    f"column entry {v} not killed by p in Z/p^{N}; "
-                    "the map is not defined on a p-torsion domain")
-            r.append((v // scale) % p)
-        reduced.append(r)
-    kernel = _fp_kernel(reduced, p)
-    dim = len(kernel)
-    cols = [[mat[i][j] % q for i in range(a)] for j in range(f)]
-    return dim, kernel, cols
-
-
 def _hnf(rows):
     """Row-style Hermite normal form of an integer matrix (list of row
     vectors); returns the nonzero rows, lower-triangular, positive pivots."""
@@ -263,10 +226,9 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
         raise PrecisionExhausted(
             f"g-map value known mod m^{y.prec}; m/m^{target} needs {target}")
     coords = _m_mod_coords(y, f)
-    # one column since the residue field is F_p; each basis line
-    # pi^i Z_p / p pi^i Z_p of m/m^{1+e} is a copy of Z/p, so N = 1
-    mat = [[c] for c in coords]
-    dim, kernel, _cols = splitting_torsion(mat, p, 1)
+    # g(1) spans im(g), and each basis line pi^i Z_p / p pi^i Z_p of
+    # m/m^{1+e} is a copy of F_p: the kernel is k or 0 as g(1) is 0 or not
+    dim = 0 if any(coords) else 1
     evidence = {"g_image_coords": coords,
                 "basis": "pi^1..pi^{e-1}, p",
                 "log_value": y.to_json(),
@@ -314,18 +276,3 @@ def _ramified_lattice(coords, field):
     rows.append(lift)
     basis = _hnf(rows)
     return [[Fraction(v, p) for v in row] for row in basis]
-
-
-def random_normalized_curve(field: LocalField, rng, span=6):
-    """Test helper: a_i drawn from m_K/m_K^span, Delta != 0 at precision."""
-    while True:
-        avals = []
-        for _ in range(5):
-            coeffs = [rng.randrange(field.p ** field.int_prec(span))
-                      for _ in range(field.deg)]
-            x = field.element(coeffs) * field.uniformizer
-            avals.append(x)
-        try:
-            return WeierstrassCurve(field, *avals)
-        except PrecisionExhausted:
-            continue

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .local_field import LocalField, OElement, KElement, PrecisionExhausted
-from .residue_field import FFElement, ff_trace, frobenius_inverse
+from .residue_field import ff_trace, frobenius_inverse
 
 
 class NotInE0(ValueError):
@@ -81,8 +81,7 @@ class WeierstrassCurve:
 
     def rhs(self, x):
         a1, a2, a3, a4, a6 = self.a
-        return ((x + _as_same(x, a2)) * x + _as_same(x, a4)) * x \
-            + _as_same(x, a6)
+        return ((x + a2) * x + a4) * x + a6
 
     def equation_residual(self, P: "CurvePoint"):
         """y^2 + a1 xy + a3 y - (x^3 + a2 x^2 + a4 x + a6); zero at
@@ -91,7 +90,7 @@ class WeierstrassCurve:
             return self.field.zero().as_k()
         a1, a2, a3, a4, a6 = self.a
         x, y = P.x, P.y
-        lhs = y * y + _as_same(y, a1) * x * y + _as_same(y, a3) * y
+        lhs = y * y + a1 * x * y + a3 * y
         return lhs - self.rhs(x)
 
     def contains(self, P: "CurvePoint") -> bool:
@@ -113,13 +112,6 @@ class WeierstrassCurve:
         return {"field": field_json,
                 "a": [ai.to_json() for ai in self.a],
                 "precision": f.M}
-
-
-def _as_same(x, o):
-    """Coerce an OElement to K when the other operand is a KElement."""
-    if isinstance(x, KElement) and isinstance(o, OElement):
-        return o.as_k()
-    return o
 
 
 class CurvePoint:
@@ -234,16 +226,8 @@ class Transform:
     def forward(self, P: CurvePoint) -> CurvePoint:
         if P.is_infinity:
             return P
-        r, s, t = (v.as_k() for v in (self.r, self.s, self.t))
-        x = P.x - r
-        return CurvePoint(x, P.y - s * x - t)
-
-    def backward(self, P: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
-            return P
-        r, s, t = (v.as_k() for v in (self.r, self.s, self.t))
-        x = P.x + r
-        return CurvePoint(x, P.y + s * P.x + t)
+        x = P.x - self.r
+        return CurvePoint(x, P.y - self.s * x - self.t)
 
     def apply(self, E: WeierstrassCurve) -> WeierstrassCurve:
         a1, a2, a3, a4, a6 = E.a
@@ -293,8 +277,7 @@ def normalize_additive(E: WeierstrassCurve):
 def point_neg(E: WeierstrassCurve, P: CurvePoint) -> CurvePoint:
     if P.is_infinity:
         return P
-    a1, a3 = E.a1.as_k(), E.a3.as_k()
-    return CurvePoint(P.x, -P.y - a1 * P.x - a3)
+    return CurvePoint(P.x, -P.y - E.a1 * P.x - E.a3)
 
 
 def point_add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
@@ -302,7 +285,7 @@ def point_add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         return Q
     if Q.is_infinity:
         return P
-    a1, a2, a3, a4, a6 = (v.as_k() for v in E.a)
+    a1, a2, a3, a4, a6 = E.a
     x1, y1 = P.x, P.y
     x2, y2 = Q.x, Q.y
     if x1 == x2:
@@ -345,8 +328,7 @@ def reduce_point(E: WeierstrassCurve, P: CurvePoint):
         vx = P.x.prec if P.x.is_zero_at_precision() else P.x.valuation()
         vy = P.y.prec if P.y.is_zero_at_precision() else P.y.valuation()
         m = max(0, -min(vx, vy))
-        pi = E.field.uniformizer.as_k()
-        scale = pi ** m if m else E.field.one().as_k()
+        scale = E.field.uniformizer.as_k() ** m
         coords = (P.x * scale, P.y * scale, scale)
         image = tuple(c.integral_part().reduce() for c in coords)
     assert any(image), "projective reduction has no unit coordinate"
@@ -387,8 +369,3 @@ def psi_E0(E: WeierstrassCurve, P: CurvePoint) -> OElement:
         raise NotInE0("point reduces to the singular locus")
     val = -(P.x / P.y)
     return val.integral_part()
-
-
-def smooth_component_map(E: WeierstrassCurve, P: CurvePoint) -> FFElement:
-    """The composite E_0(K) -> k^+, reduction of psi; kernel E_1(K)."""
-    return psi_E0(E, P).reduce()

@@ -65,11 +65,6 @@ def _chord_sum(a, lam: Series, nu: Series, t1: Series, t2: Series):
     return _negate(a, t3, lam * t3 + nu)
 
 
-def inverse_series(a, D: int) -> Series:
-    """i(t) with F(t, i(t)) = 0."""
-    return _negate(a, Series.variable(1, D, 0), w_series(a, D))[0]
-
-
 def formal_sum(a, D: int) -> Series:
     """The formal group law F(T1, T2) by the chord construction."""
     w = w_series(a, D + 1)

@@ -4,7 +4,8 @@ Supports unramified and totally ramified (Eisenstein) extensions, both
 presented as O_K = Z_p[X]/(h).  Elements of the valuation ring are stored
 as polynomial representatives in X with an explicit known precision,
 measured in powers of the maximal ideal so both kinds share one contract.
-Precision propagation is never optimistic.
+An element of K is x / pi^s for such an x and an integer s >= 0, so K
+has the same precision rule.  Precision propagation is never optimistic.
 
 The kinds differ in three facts, set once in LocalField.__init__: the
 valuation of each basis vector X^i (0 unramified, i Eisenstein), the
@@ -159,10 +160,6 @@ class LocalField:
             powers.append(tuple(self._times(powers[-1], powers[1])))
         return powers[abs(k)]
 
-    def p_unit(self, prec):
-        """The unit u = p / pi^e, known mod m_K^prec."""
-        return self.element([self.p], prec + self.e).shift_down(self.e)
-
     @property
     def uniformizer(self) -> "OElement":
         return self.element(self.pi_power(1))
@@ -191,9 +188,9 @@ class LocalField:
     def embed_rational(self, q, prec=None) -> "KElement":
         """Canonical image of a rational number in K."""
         q = Fraction(q)
-        if q == 0:
-            return KElement.zero(self, self.M if prec is None else prec)
         prec = self.M if prec is None else prec
+        if q == 0:
+            return KElement(self.zero(prec))
         num, den = q.numerator, q.denominator
         vn, vd = _vp(num, self.p), _vp(den, self.p)
         shift = self.e * (vn - vd)
@@ -204,14 +201,12 @@ class LocalField:
         mod = self.p ** self.int_prec(unit_prec + max(shift, 0) + self.e)
         w = (num * pow(den, -1, mod)) % mod
         if shift >= 0:
-            unit = self.element([w * self.p ** (vn - vd)],
-                                prec=unit_prec + shift).shift_down(shift)
-        else:
-            # q / pi^shift = w * pi^-shift / p^(vd - vn), exactly
-            pk = self.p ** (vd - vn)
-            unit = OElement(self, [w * (c // pk) for c in self.pi_power(-shift)],
-                            unit_prec)
-        return KElement(unit, shift)
+            return KElement(self.element([w * self.p ** (vn - vd)],
+                                         prec=unit_prec + shift))
+        # q = x / pi^-shift with x = w * pi^-shift / p^(vd - vn), a unit
+        pk = self.p ** (vd - vn)
+        return KElement(OElement(self, [w * (c // pk) for c in self.pi_power(-shift)],
+                                 unit_prec), -shift)
 
     def embed_integral_rational(self, q, prec=None) -> "OElement":
         q = Fraction(q)
@@ -459,73 +454,66 @@ class OElement:
         return OElement(f, f._times(self.coeffs, f.pi_power(k)), self.prec + k)
 
     def as_k(self) -> "KElement":
-        v = self.valuation_or_none()
-        if v is None:
-            return KElement.zero(self.field, self.prec)
-        return KElement(self.shift_down(v), v)
+        return KElement(self)
 
     def to_json(self):
         return {"shift": 0, "coeffs": list(self.coeffs), "prec": self.prec}
 
 
 class KElement:
-    """Element of K in normalized form pi^shift * unit_part.
+    """Element x / pi^s of K: x is an OElement of any valuation, an
+    apparent zero included, and s >= 0 an integer.
 
-    unit_part is an OElement of valuation 0; an apparent zero is carried
-    as an explicit marker with the precision at which it vanished.
+    Each operation is one O_K operation on the x's after aligning the
+    shifts, so K shares O_K's precision rule (product_prec) and its
+    apparent zeros.  The element is known modulo m_K^(x.prec - s).
     """
 
-    __slots__ = ("unit_part", "shift", "_zero_prec", "_field")
+    __slots__ = ("x", "s")
 
-    def __init__(self, unit_part, shift, _zero_prec=None):
-        self.unit_part = unit_part
-        self.shift = shift
-        self._zero_prec = _zero_prec
-        self._field = None
-        if unit_part is not None and not unit_part.is_unit():
-            raise ValueError("unit_part must have valuation 0")
-
-    @classmethod
-    def zero(cls, field, prec):
-        z = cls.__new__(cls)
-        z.unit_part = None
-        z.shift = None
-        z._zero_prec = prec
-        z._field = field
-        return z
+    def __init__(self, x, s=0):
+        self.x = x
+        self.s = s
 
     @property
     def field(self):
-        if self.unit_part is not None:
-            return self.unit_part.field
-        return self._field
+        return self.x.field
 
     def is_zero_at_precision(self):
-        return self.unit_part is None
+        return self.x.is_zero_at_precision()
 
     def valuation(self):
-        if self.unit_part is None:
+        v = self.x.valuation_or_none()
+        if v is None:
             raise PrecisionExhausted(
-                f"element is 0 mod m^{self._zero_prec}; valuation unknown")
-        return self.shift
+                f"element is 0 mod m^{self.prec}; valuation unknown")
+        return v - self.s
 
     @property
     def prec(self):
         """Absolute precision: the element is known modulo m_K^prec."""
-        if self.unit_part is None:
-            return self._zero_prec
-        return self.shift + self.unit_part.prec
+        return self.x.prec - self.s
+
+    def _normalized(self):
+        """(v, u) with self = pi^v * u and u a unit, or None for an
+        apparent zero."""
+        v = self.x.valuation_or_none()
+        if v is None:
+            return None
+        return v - self.s, self.x.shift_down(v)
 
     def __repr__(self):
-        if self.unit_part is None:
-            return f"K(0+O(m^{self._zero_prec}))"
-        return f"K(pi^{self.shift}*{list(self.unit_part.coeffs)}+O(m^{self.prec}))"
+        n = self._normalized()
+        if n is None:
+            return f"K(0+O(m^{self.prec}))"
+        v, u = n
+        return f"K(pi^{v}*{list(u.coeffs)}+O(m^{self.prec}))"
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             return self.field.embed_rational(Fraction(other), prec=self.field.M)
         if isinstance(other, OElement):
-            return other.as_k()
+            return KElement(other)
         if isinstance(other, KElement) and other.field == self.field:
             return other
         return None
@@ -544,31 +532,13 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.unit_part is None:
-            if o.unit_part is None:
-                return KElement.zero(self.field, min(self.prec, o.prec))
-            if o.shift >= self.prec:
-                return KElement.zero(self.field, self.prec)
-            return KElement(OElement(o.unit_part.field, o.unit_part.coeffs,
-                                     min(o.unit_part.prec, self.prec - o.shift)),
-                            o.shift)
-        if o.unit_part is None:
-            return o + self
-        t = min(self.shift, o.shift)
-        a = self.unit_part.shift_up(self.shift - t)
-        b = o.unit_part.shift_up(o.shift - t)
-        s = a + b
-        v = s.valuation_or_none()
-        if v is None:
-            return KElement.zero(self.field, t + s.prec)
-        return KElement(s.shift_down(v), t + v)
+        s = max(self.s, o.s)
+        return KElement(self.x.shift_up(s - self.s) + o.x.shift_up(s - o.s), s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.unit_part is None:
-            return self
-        return KElement(-self.unit_part, self.shift)
+        return KElement(-self.x, self.s)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -583,11 +553,7 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.unit_part is None or o.unit_part is None:
-            zp = min(a.prec for a in (self, o) if a.unit_part is None)
-            other_v = [a.shift for a in (self, o) if a.unit_part is not None]
-            return KElement.zero(self.field, zp + (other_v[0] if other_v else 0))
-        return KElement(self.unit_part * o.unit_part, self.shift + o.shift)
+        return KElement(self.x * o.x, self.s + o.s)
 
     __rmul__ = __mul__
 
@@ -604,9 +570,12 @@ class KElement:
         return result
 
     def invert(self) -> "KElement":
-        if self.unit_part is None:
-            raise NotInvertible(f"0 mod m^{self._zero_prec} is not invertible")
-        return KElement(self.unit_part.invert(), -self.shift)
+        n = self._normalized()
+        if n is None:
+            raise NotInvertible(f"0 mod m^{self.prec} is not invertible")
+        v, u = n
+        w = u.invert()  # self^-1 = w / pi^v
+        return KElement(w, v) if v >= 0 else KElement(w.shift_up(-v))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -614,30 +583,20 @@ class KElement:
             return NotImplemented
         return self * o.invert()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
-
     def integral_part(self) -> OElement:
         """The element as an OElement; requires valuation >= 0."""
-        if self.unit_part is None:
-            return OElement(self.field, [0] * self.field.deg, self._zero_prec)
-        if self.shift < 0:
-            raise ValueError(f"valuation {self.shift} < 0; not integral")
-        return self.unit_part.shift_up(self.shift)
+        v = self.x.valuation_or_none()
+        if v is not None and v < self.s:
+            raise ValueError(f"valuation {v - self.s} < 0; not integral")
+        return self.x.shift_down(self.s)
 
     def reduce(self) -> FFElement:
         return self.integral_part().reduce()
 
     def to_json(self):
-        if self.unit_part is None:
+        n = self._normalized()
+        if n is None:
             return {"shift": None, "coeffs": [0] * self.field.deg,
-                    "prec": self._zero_prec}
-        return {"shift": self.shift, "coeffs": list(self.unit_part.coeffs),
-                "prec": self.prec}
-
-
-def valuation(x):
-    return x.valuation()
+                    "prec": self.prec}
+        v, u = n
+        return {"shift": v, "coeffs": list(u.coeffs), "prec": self.prec}

@@ -389,10 +389,6 @@ def finite_model(E, M) -> FiniteModel:
     return FiniteModel(E, M)
 
 
-def p_rank(model: FiniteModel) -> int:
-    return model.p_rank()
-
-
 def compare(E, report, M):
     """Verdict dict comparing a certified report against the oracle."""
     if not report.certified:

@@ -129,23 +129,17 @@ def smallest_irreducible(p: int, n: int):
 
 
 class FiniteField:
-    """The field F_{p^n} presented as F_p[X]/(modulus)."""
+    """The field F_{p^n} presented as F_p[X]/(modulus), the modulus being
+    smallest_irreducible(p, n)."""
 
-    def __init__(self, p: int, n: int = 1, modulus=None):
+    def __init__(self, p: int, n: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = smallest_irreducible(p, n)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        if not _is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.n = n
-        self.modulus = modulus
+        self.modulus = smallest_irreducible(p, n)
         self.order = p ** n
 
     def __eq__(self, other):

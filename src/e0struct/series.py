@@ -126,20 +126,6 @@ class WPoly:
 
     # -- structure ----------------------------------------------------------
 
-    def weights(self):
-        return {key_weight(k) for k in self.d}
-
-    def is_homogeneous_of_weight(self, w):
-        return all(key_weight(k) == w for k in self.d)
-
-    def divisible_by_int(self, m):
-        return all(isinstance(v, int) and v % m == 0 for v in self.d.values())
-
-    def exact_div_int(self, m):
-        if not self.divisible_by_int(m):
-            raise ValueError(f"polynomial not divisible by {m}")
-        return WPoly({k: v // m for k, v in self.d.items()})
-
     def map_coeffs(self, fn):
         out = {}
         for k, v in self.d.items():

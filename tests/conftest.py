@@ -1,12 +1,48 @@
 import pytest
 
 from e0struct.curve import WeierstrassCurve
-from e0struct.local_field import LocalField
+from e0struct.local_field import LocalField, PrecisionExhausted
+from e0struct.series import WPoly, key_weight
 
 
 def make_curve(field, a):
     return WeierstrassCurve(
         field, *[field.embed_integral_rational(c) for c in a])
+
+
+def random_normalized_curve(field, rng, span=6):
+    """a_i drawn from m_K/m_K^span, Delta != 0 at precision."""
+    while True:
+        avals = []
+        for _ in range(5):
+            coeffs = [rng.randrange(field.p ** field.int_prec(span))
+                      for _ in range(field.deg)]
+            x = field.element(coeffs) * field.uniformizer
+            avals.append(x)
+        try:
+            return WeierstrassCurve(field, *avals)
+        except PrecisionExhausted:
+            continue
+
+
+# -- structure of WPoly coefficients --------------------------------------
+
+def wpoly_weights(f: WPoly):
+    return {key_weight(k) for k in f.d}
+
+
+def is_homogeneous_of_weight(f: WPoly, w):
+    return all(key_weight(k) == w for k in f.d)
+
+
+def divisible_by_int(f: WPoly, m):
+    return all(isinstance(v, int) and v % m == 0 for v in f.d.values())
+
+
+def exact_div_int(f: WPoly, m):
+    if not divisible_by_int(f, m):
+        raise ValueError(f"polynomial not divisible by {m}")
+    return WPoly({k: v // m for k, v in f.d.items()})
 
 
 # fixture models from the worked examples: a = (a1, a2, a3, a4, a6)

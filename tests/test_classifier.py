@@ -5,14 +5,13 @@ import pytest
 
 from e0struct.classifier import (GroupStructure, classify_congruence,
                                  classify_general, classify_unramified,
-                                 filtration_base_index, ramified_g_map,
-                                 random_normalized_curve, splitting_torsion)
+                                 ramified_g_map)
 from e0struct.cli import build_curve, build_field
 from e0struct.curve import Transform
 from e0struct.formal_group import TruncationInsufficient
 from e0struct.local_field import LocalField, PrecisionExhausted
 
-from conftest import FIXTURE_COEFFS, make_curve
+from conftest import FIXTURE_COEFFS, make_curve, random_normalized_curve
 
 
 def test_group_structure_str_and_json():
@@ -91,30 +90,6 @@ def test_p_gt_7_unramified():
     E = make_curve(f, (0, 0, 0, 11, 11))
     r = classify_general(E)
     assert str(r.structure) == "Z_11" and r.certified
-
-
-def test_filtration_base_index(Q2, Q3, Q2sqrt2):
-    assert filtration_base_index(Q2) == 1
-    assert filtration_base_index(Q3) == 1
-    assert filtration_base_index(Q2sqrt2) == 2
-    assert filtration_base_index(LocalField.eisenstein(3, (-3, 0, 1), 10)) == 2
-
-
-def test_splitting_torsion_basic():
-    # [DERIVED] map to (Z/p^2)^2 with matrix diag(p, p^2): the kernel of
-    # the induced map on p-torsion has dimension 1
-    dim, basis, cols = splitting_torsion([[3, 0], [0, 9]], 3, 2)
-    assert dim == 1
-    assert len(basis) == 1
-    assert basis[0][0] == 0 and basis[0][1] != 0
-    assert cols == [[3, 0], [0, 0]]
-
-
-def test_splitting_torsion_rejects_bad_columns():
-    # columns must be divisible by p^(N-1) for the p-torsion map to be
-    # well defined
-    with pytest.raises((ValueError, AssertionError)):
-        splitting_torsion([[1, 0], [0, 3]], 3, 2)
 
 
 def test_ramified_exploratory(Q2sqrt2):

@@ -168,7 +168,7 @@ def test_pi_power_is_the_uniformizer_power(p, n_or_poly):
         power = K.uniformizer ** k
         mods = K.coeff_moduli(power.prec)
         assert tuple(c % m for c, m in zip(K.pi_power(k), mods)) == power.coeffs
-    assert K.p_unit(K.M) * K.uniformizer ** K.e == K.element([p])
+    assert K.element([p]).shift_down(K.e) * K.uniformizer ** K.e == K.element([p])
 
 
 @pytest.mark.parametrize("p, n_or_poly", PRESENTATIONS)
@@ -184,3 +184,26 @@ def test_residue_lift_and_basis_valuations(p, n_or_poly):
         for j in range(3):
             x = K.element([0] * i + [p ** j])
             assert x.valuation() == K.e * j + (i if eisenstein else 0)
+
+
+@pytest.mark.parametrize("p, n_or_poly", PRESENTATIONS)
+def test_k_products_follow_the_o_k_precision_rule(p, n_or_poly):
+    # [DERIVED] K = O_K[1/pi] multiplies as O_K does (product_prec): apparent
+    # zeros known mod m^A and m^B have a product known mod m^(A + B), and a
+    # zero times a nonzero element is the O_K product.  An apparent zero of
+    # pi^-1 O_K, known mod m^-1, has a square known only mod m^-2 and a cube
+    # only mod m^-3
+    K = _presented(p, n_or_poly)
+    rng = random.Random(f"kzero/{p}/{n_or_poly}")
+    for A in range(4):
+        for B in range(4):
+            a, b = K.zero(A), K.zero(B)
+            assert (a.as_k() * b.as_k()).prec == (a * b).prec == A + B
+            x = _random_element(K, rng, rng.randrange(1, K.M + 1))
+            if x:
+                assert ((a.as_k() * x.as_k()).to_json()
+                        == (a * x).as_k().to_json())
+    z = K.zero(0).as_k() / K.uniformizer.as_k()
+    assert z.prec == -1 and z.is_zero_at_precision()
+    assert (z * z).prec == -2
+    assert (z ** 3).prec == -3

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from e0struct.classifier import (ClassificationReport, GroupStructure,
-                                 classify_general, random_normalized_curve)
+                                 classify_general)
 from e0struct.curve import WeierstrassCurve
 from e0struct.formal_group import specialized_mult_by_n
 from e0struct.local_field import LocalField
 from e0struct.oracle import (FiniteModel, ModelTooLarge, _numeric_chord,
-                             _numeric_w, _Ring, compare, finite_model, p_rank)
+                             _numeric_w, _Ring, compare, finite_model)
 
-from conftest import FIXTURE_COEFFS, make_curve
+from conftest import FIXTURE_COEFFS, make_curve, random_normalized_curve
 
 
 def _engine_mult_p_series(m):
@@ -107,8 +107,6 @@ def test_compare_fail_with_witness(Q2):
 
 
 def test_compare_requires_certified(Q2sqrt2):
-    import random
-    from e0struct.classifier import random_normalized_curve
     E = random_normalized_curve(Q2sqrt2, random.Random(0))
     report = classify_general(E)
     assert not report.certified
@@ -129,7 +127,8 @@ def test_ramified_model(Q2sqrt2):
     E = make_curve(Q2sqrt2, FIXTURE_COEFFS["E2"][1])
     m = finite_model(E, 4)
     assert m.order == 16
-    assert m.p_rank() == p_rank(m)
+    # a finite abelian p-group has |G[p]| = p^dim(G/pG)
+    assert m.field.p ** m.p_rank() == m.kernel_count()
 
 
 def test_level_one_model_over_cubic_eisenstein():

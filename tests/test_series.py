@@ -6,6 +6,9 @@ import pytest
 from e0struct.local_field import LocalField, OElement
 from e0struct.series import Series, WPoly, key_weight, pack, unpack
 
+from conftest import (divisible_by_int, exact_div_int,
+                      is_homogeneous_of_weight, wpoly_weights)
+
 
 def test_pack_unpack_roundtrip():
     for exps in [(0, 0, 0, 0, 0), (3, 0, 0, 0, 0), (1, 2, 0, 4, 5)]:
@@ -21,15 +24,15 @@ def test_wpoly_ring_axioms():
     q = a * a + a * b - 2 * b * b
     assert p == q
     assert (p - q) == WPoly()
-    assert not p.is_homogeneous_of_weight(2)  # mixed weights 2 and 3,4
-    assert p.weights() == {2, 3, 4}
+    assert not is_homogeneous_of_weight(p, 2)  # mixed weights 2 and 3,4
+    assert wpoly_weights(p) == {2, 3, 4}
 
 
 def test_wpoly_exact_div():
     p = 6 * WPoly.var(1) * WPoly.var(2)
-    assert p.divisible_by_int(3)
-    assert p.exact_div_int(3) == 2 * WPoly.var(1) * WPoly.var(2)
-    assert not p.divisible_by_int(4)
+    assert divisible_by_int(p, 3)
+    assert exact_div_int(p, 3) == 2 * WPoly.var(1) * WPoly.var(2)
+    assert not divisible_by_int(p, 4)
 
 
 def test_wpoly_evaluate():
