@@ -20,8 +20,8 @@ class TruncationInsufficient(ArithmeticError):
 
 def w_series(a, D: int) -> Series:
     """w(t) = t^3 + ... solved degreewise from the curve equation, with
-    running coefficients of w^2 so that each coefficient of w^2 and w^3
-    is one dot product."""
+    running coefficients of w^2 so that each coefficient of w^2, w^3 and
+    w is one dot product."""
     a1, a2, a3, a4, a6 = a
     c = {3: 1}
     w2 = {}
@@ -34,11 +34,10 @@ def w_series(a, D: int) -> Series:
             w2[n] = s
         s3 = dot([(c[i], w2[n - i]) for i in range(3, n - 5)
                   if i in c and n - i in w2])
-        v = 0
-        for coeff, x in ((a1, c.get(n - 1)), (a2, c.get(n - 2)),
-                         (a3, w2.get(n)), (a4, w2.get(n - 1)), (a6, s3)):
-            if x is not None and not _is_zero_coeff(x):
-                v = v + coeff * x
+        v = dot([(coeff, x) for coeff, x in (
+            (a1, c.get(n - 1)), (a2, c.get(n - 2)), (a3, w2.get(n)),
+            (a4, w2.get(n - 1)), (a6, s3))
+            if x is not None and not _is_zero_coeff(x)])
         if not _is_zero_coeff(v):
             c[n] = v
     return Series(1, D, {(n,): v for n, v in c.items()})

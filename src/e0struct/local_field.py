@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .residue_field import FiniteField, FFElement, is_prime
+from .residue_field import FiniteField, FFElement, is_prime, power
 
 INFINITY = math.inf
 
@@ -376,10 +376,7 @@ class OElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.field
-        prod = [0] * (2 * f.deg - 1)
-        _add_product(prod, self.coeffs, o.coeffs)
-        return OElement(f, f._reduce_poly(prod),
+        return OElement(self.field, self.field._times(self.coeffs, o.coeffs),
                         product_prec(self.prec, self._vmin(),
                                      o.prec, o._vmin()))
 
@@ -388,14 +385,7 @@ class OElement:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("use invert/KElement for negative powers")
-        result = self.field.one(prec=self.prec + self.field.e * 2)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, self.field.one(self.prec + 2 * self.field.e))
 
     # -- reduction, units, division ----------------------------------------
 
@@ -560,14 +550,7 @@ class KElement:
     def __pow__(self, k):
         if k < 0:
             return self.invert() ** (-k)
-        result = self.field.one().as_k()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, self.field.one().as_k())
 
     def invert(self) -> "KElement":
         n = self._normalized()
@@ -586,6 +569,9 @@ class KElement:
     def integral_part(self) -> OElement:
         """The element as an OElement; requires valuation >= 0."""
         v = self.x.valuation_or_none()
+        if v is None and self.prec < 0:
+            raise PrecisionExhausted(
+                f"element is 0 mod m^{self.prec}; integrality unknown")
         if v is not None and v < self.s:
             raise ValueError(f"valuation {v - self.s} < 0; not integral")
         return self.x.shift_down(self.s)

@@ -4,8 +4,9 @@ against a classification report.
 
 The group law here is rebuilt numerically per curve (numpy integer
 arithmetic over O_K/p^k), sharing no series code with formal_group.
-The two counts check each other: p_rank adds points (p*x by
-double-and-add), kernel_count composes series ([p](T) from F), and the
+The two counts check each other: one double-and-add ladder over the
+bits of p runs on points in p_rank (p*x at every residue) and on series
+in kernel_count ([p](T), then evaluated at every residue), and the
 tests compare that [p](T) with the engine's.  All arithmetic runs
 through three primitives of _Ring (a ring product, a truncated series
 product and a polynomial evaluation), whose worst-case int64
@@ -63,9 +64,9 @@ class _Ring:
         factor lies in [0, q), so this covers each product a model makes:
         the chord's and the negation's series_mul (t3 by the unit inverse)
         and mul (a1 t3, a3 w3), invert_unit (2 - az is reduced first), and
-        evaluate at the G table, at each addition, at each doubling (the
-        diagonal F(T, T) sums up to D+1 entries below q per coefficient,
-        reduced mod q before it is evaluated) and at the series of [p]."""
+        evaluate at the G table, at each addition or doubling of a point
+        or series (the diagonal F(T, T) sums up to D+1 entries below q per
+        coefficient, reduced mod q first) and at the series of [p]."""
         d = self.d
         H = max(abs(c) for c in self.poly[:d])
         return (D + 2) ** 2 // 4 * d * (self.q - 1) ** 2 * (1 + H) ** (d - 1)
@@ -252,6 +253,9 @@ class FiniteModel:
         a = np.array([[c % q for c in ai.coeffs] for ai in E.a],
                      dtype=np.int64)
         self.F = _numeric_F(self.ring, a, D)
+        # the diagonal F(T, T): its degree-k coefficient sums F[i][k - i]
+        self.diag = np.array([np.trace(self.F[:, ::-1], offset=D - k)
+                              for k in range(D + 1)]) % q
         # residues: all canonical coordinate vectors, in lexicographic order
         self.residues = np.indices(self.moduli, dtype=np.int64).reshape(
             d, -1).T
@@ -281,30 +285,27 @@ class FiniteModel:
 
     def is_zero(self, X):
         """Rows whose residue mod m^M is zero."""
-        Z = X % self.q
-        flags = np.ones(X.shape[:-1], dtype=bool)
-        for i, m in enumerate(self.moduli):
-            flags &= Z[..., i] % m == 0
-        return flags
+        return ~self.canonical(X).any(-1)
 
     # -- group facts -------------------------------------------------------
 
-    def times_p(self, X):
-        """p*x for the rows x of X by double-and-add over the bits of p: a
-        doubling evaluates the diagonal F(T, T), an addition of x reuses
-        one G table of X.  F is exact mod m^M at every point of O_K, so
-        every bracketing of x + ... + x has the same residue."""
-        D, q = self.D, self.ring.q
-        diag = np.array([np.trace(self.F[:, ::-1], offset=D - k)
-                         for k in range(D + 1)]) % q
-        bits = bin(self.field.p)[3:]
-        G = self._g_rows(X) if "1" in bits else None
-        Z = X
-        for bit in bits:
-            Z = self.ring.evaluate(diag, Z)
+    def _times_p(self, z, double, add_x):
+        """p*x from z = x, by the left-to-right ladder over the bits of p:
+        z -> 2z at every bit after the leading one, then z -> z + x at a 1."""
+        for bit in bin(self.field.p)[3:]:
+            z = double(z)
             if bit == "1":
-                Z = self.add_batch(Z, X, G=G)
-        return Z
+                z = add_x(z)
+        return z
+
+    def times_p(self, X):
+        """p*x for the rows x of X: a doubling evaluates the diagonal
+        F(T, T), an addition of x reuses one G table of X.  F is exact
+        mod m^M at every point of O_K, so every bracketing of x + ... + x
+        has the same residue."""
+        G = self._g_rows(X) if self.field.p > 2 else None
+        return self._times_p(X, lambda Z: self.ring.evaluate(self.diag, Z),
+                             lambda Z: self.add_batch(Z, X, G=G))
 
     def p_rank(self):
         """log_p #{x : p*x = 0}, with p*x from times_p."""
@@ -318,20 +319,25 @@ class FiniteModel:
         return rank
 
     def mult_p_series(self):
-        """[p](T) mod p^(kd+2) by iterating u -> F(u(T), T), which is
-        sum_j T^j G_j with G_j = sum_i F[i][j] u^i."""
+        """[p](T) mod p^(kd+2), by the same double-and-add on series as
+        times_p: a doubling is u -> F(u, u), the diagonal at u, and an
+        addition of T is u -> F(u(T), T) = sum_j T^j G_j(u), with
+        G_j(u) = sum_i F[i][j] u^i."""
         if self._mp_coeffs is None:
             D, ring = self.D, self.ring
             C = self.F.transpose(1, 0, 2)[:, None]
-            u = np.zeros((D + 1, ring.d), dtype=np.int64)
-            u[1, 0] = 1
-            for _ in range(self.field.p - 1):
+
+            def add_t(u):
                 G = ring.evaluate(C, u, series=True)
-                u = np.zeros_like(u)
+                v = np.zeros_like(u)
                 for j in range(D + 1):
-                    u[j:] += G[j, :D + 1 - j]
-                u %= ring.q
-            self._mp_coeffs = u
+                    v[j:] += G[j, :D + 1 - j]
+                return v % ring.q
+
+            T = np.zeros((D + 1, ring.d), dtype=np.int64)
+            T[1, 0] = 1
+            self._mp_coeffs = self._times_p(
+                T, lambda u: ring.evaluate(self.diag, u, series=True), add_t)
         return self._mp_coeffs
 
     def _kernel_flags(self):
@@ -339,9 +345,9 @@ class FiniteModel:
                                                self.residues))
 
     def kernel_count(self):
-        """#{x : [p](x) = 0 mod m^M}; [p] is built from F by repeated
-        composition, cross-checking iterated addition (p_rank) against
-        composition."""
+        """#{x : [p](x) = 0 mod m^M}, evaluating the series [p](T) of
+        mult_p_series at every residue: a cross-check of p_rank, which
+        adds points."""
         return int(self._kernel_flags().sum())
 
     def kernel_witnesses(self, limit=5):

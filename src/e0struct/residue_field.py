@@ -11,6 +11,21 @@ from __future__ import annotations
 import itertools
 
 
+def power(x, k: int, one):
+    """x^k for k >= 0 by square-and-multiply from one, for any ring with
+    a `*`: one * x^(2^i) over the set bits i of k, lowest first."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -251,14 +266,7 @@ class FFElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.parent.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.parent.one)
 
     def inverse(self):
         if not self:

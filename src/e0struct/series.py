@@ -4,10 +4,12 @@ Z[a1,a2,a3,a4,a6] with wt(ai) = i.
 Series coefficients are duck-typed: plain ints and Fractions, WPoly for
 generic computations, finite-field elements after reduction.  int is
 the universal scalar that every coefficient type accepts on either side.
-Coefficients in O_K (OElements, with ints beside them) take another
-road through products: Series.__mul__, dot and invert_unit hand each
-output coefficient to the sum-of-products kernel LocalField.dot, which
-adds the raw integer products, reduces once and builds one OElement.
+Series.__mul__ has one product loop: it groups the term pairs by output
+monomial, and only the sum of each group depends on the coefficients.
+Coefficients in O_K (OElements, with ints beside them) are summed by
+the kernel LocalField.dot, which adds the raw integer products, reduces
+once and builds one OElement; others by a plain fold.  dot and
+invert_unit sum their coefficients the same way.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .local_field import OElement
+from .residue_field import power
 
 # packed monomial keys: 6 bits per exponent, variables a1,a2,a3,a4,a6
 _BITS = 6
@@ -185,28 +188,30 @@ A1, A2, A3, A4, A6 = (WPoly.var(i) for i in (1, 2, 3, 4, 6))
 GENERIC_A = (A1, A2, A3, A4, A6)
 
 
-def _o_k_field(coeffs):
-    """The field of the O_K coefficients when every coefficient is an
-    OElement or an int and one is an OElement, else None."""
+def _fold(pairs):
+    s = 0
+    for a, b in pairs:
+        s = s + a * b
+    return s
+
+
+def _dot_for(coeffs):
+    """The sum of products for these coefficients: LocalField.dot when
+    every coefficient is an OElement or an int and one is an OElement,
+    a plain fold otherwise."""
     field = None
     for v in coeffs:
         if type(v) is OElement:
             field = v.field
         elif type(v) is not int:
-            return None
-    return field
+            return _fold
+    return _fold if field is None else field.dot
 
 
 def dot(pairs):
     """sum(a * b for a, b in pairs): one LocalField.dot for O_K
     coefficients, a plain fold otherwise."""
-    field = _o_k_field(x for pair in pairs for x in pair)
-    if field is not None:
-        return field.dot(pairs)
-    s = 0
-    for a, b in pairs:
-        s = s + a * b
-    return s
+    return _dot_for(x for pair in pairs for x in pair)(pairs)
 
 
 def _is_zero_coeff(c):
@@ -320,53 +325,30 @@ class Series:
     # -- multiplicative structure -------------------------------------------
 
     def __mul__(self, other):
+        """Group the term pairs by output monomial; each group is one
+        sum of products (_dot_for)."""
         if not isinstance(other, Series):
             return NotImplemented
         self._check(other)
         D = min(self.trunc, other.trunc)
-        items1 = [(k, sum(k), v) for k, v in self.c.items()]
-        items2 = [(k, sum(k), v) for k, v in other.c.items()]
-        items2.sort(key=lambda t: t[1])
-        field = _o_k_field(chain(self.c.values(), other.c.values()))
-        if field is not None:
-            # group the term pairs by output monomial; one kernel dot each
-            pairs = {}
-            for k1, d1, v1 in items1:
-                room = D - d1
-                for k2, d2, v2 in items2:
-                    if d2 > room:
-                        break
-                    k = ((d1 + d2,) if self.nvars == 1
-                         else tuple(a + b for a, b in zip(k1, k2)))
-                    pairs.setdefault(k, []).append((v1, v2))
-            return Series(self.nvars, D,
-                          {k: field.dot(ps) for k, ps in pairs.items()})
-        out = {}
-        for k1, d1, v1 in items1:
+        uni = self.nvars == 1
+        items2 = sorted(((k, sum(k), v) for k, v in other.c.items()),
+                        key=lambda t: t[1])
+        pairs = {}
+        for k1, v1 in self.c.items():
+            d1 = sum(k1)
             room = D - d1
-            if room < 0:
-                continue
             for k2, d2, v2 in items2:
                 if d2 > room:
                     break
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(k, 0) + v1 * v2
-                if _is_zero_coeff(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return Series(self.nvars, D, out)
+                k = (d1 + d2,) if uni else tuple(a + b for a, b in zip(k1, k2))
+                pairs.setdefault(k, []).append((v1, v2))
+        sum_products = _dot_for(chain(self.c.values(), other.c.values()))
+        return Series(self.nvars, D,
+                      {k: sum_products(ps) for k, ps in pairs.items()})
 
     def __pow__(self, n):
-        result = Series.const(self.nvars, self.trunc, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, Series.const(self.nvars, self.trunc, 1))
 
     def invert_unit(self, const_inv):
         """Multiplicative inverse; const_inv must be the coefficient-ring

@@ -107,6 +107,17 @@ def test_zero_division_guard(Q2):
         Q2.one().as_k() / z
 
 
+def test_integral_part_of_a_zero_below_m0_is_exhausted():
+    # [DERIVED] over Q_5, 0 + O(m^0) over pi^2 plus 1/pi is 0 + O(m^-2):
+    # it may be 1/pi, so its integral part is unknown
+    K = LocalField.unramified(5, 1, 6)
+    pi = K.uniformizer.as_k()
+    w = K.zero(0).as_k() / pi ** 2 + K.one().as_k() / pi
+    assert w.prec == -2 and w.is_zero_at_precision()
+    with pytest.raises(PrecisionExhausted):
+        w.integral_part()
+
+
 @pytest.mark.parametrize("poly", [(-2, 2, 1), (-3, 3, 0, 1)])
 def test_embed_rational_non_pure_eisenstein(poly):
     # [DERIVED] p = pi^e * u with u a unit other than 1 when the

@@ -339,3 +339,17 @@ def test_p_rank_evaluation_count(monkeypatch):
     p = 31
     assert 0 < calls["add_batch"] <= bin(p).count("1") - 1
     assert calls["evaluate"] <= p.bit_length() + bin(p).count("1") - 1
+
+
+def test_kernel_count_evaluation_count(monkeypatch):
+    # [DERIVED] [p](T) takes the ladder of p_rank on series: for
+    # p = 31 = 0b11111, 4 doublings and 4 additions of T, then one
+    # evaluation at the residues, so bit_length + popcount - 1 = 9 in all
+    field = LocalField.eisenstein(31, (-31, 0, 1), 8)
+    m = finite_model(random_normalized_curve(field, random.Random(31)), 3)
+    evaluate, calls = _Ring.evaluate, []
+    monkeypatch.setattr(_Ring, "evaluate", lambda *args, **kwargs: (
+        calls.append(1) or evaluate(*args, **kwargs)))
+    m.kernel_count()
+    p = 31
+    assert len(calls) <= p.bit_length() + bin(p).count("1") - 1
