@@ -1,6 +1,9 @@
 """Command-line front end: classify curves, normalize models, print
 formal-group data, verify points, and run oracle comparisons.
 
+The a_i and point coordinates go to the curve as written, so
+LocalField.embed_rational alone decides their value and precision.
+
 Exit codes: 0 = success/certified, 2 = exploratory result, 1 = error.
 JSON output is deterministic (sorted keys)."""
 
@@ -10,7 +13,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 
 import click
 
@@ -95,32 +97,14 @@ def build_field(desc: dict, precision=None) -> LocalField:
     return LocalField.eisenstein(p, f["poly"], M)
 
 
-def _embed_coeff(field: LocalField, v):
-    """A descriptor coefficient (rational, or vector [c_0, c_1, ...] for
-    sum c_i X^i mod h) as an element of O_K.  The terms c_i X^i of a
-    vector have distinct valuations mod e, so the sum is integral exactly
-    when every c_i is p-integral."""
-    if isinstance(v, list):
-        coeffs = [Fraction(c) for c in v]
-        mod = field.coeff_modulus(0, field.M)
-        for c in coeffs:
-            if c.denominator % field.p == 0:
-                raise DescriptorError(
-                    f"coefficient {c} in vector is not p-integral")
-        return field.element(field._reduce_poly(
-            [c.numerator * pow(c.denominator, -1, mod) for c in coeffs]))
-    return field.embed_integral_rational(Fraction(v))
-
-
 def build_curve(field: LocalField, desc: dict) -> WeierstrassCurve:
-    a = [_embed_coeff(field, v) for v in desc["a"]]
-    return WeierstrassCurve(field, *a)
+    return WeierstrassCurve(field, *desc["a"])
 
 
 def build_point(E: WeierstrassCurve, pt):
     if pt == "infinity":
         return INFINITY
-    return E.point(*(_embed_coeff(E.field, pt[c]) for c in ("x", "y")))
+    return E.point(pt["x"], pt["y"])
 
 
 def _read_input(path):

@@ -1,10 +1,10 @@
 """Weierstrass models over O_K: invariants, reduction types, the
 normalization of Lemma-3.1 type (all a_i into m_K), the chord-tangent
-group law over K, the filtration, and the maps psi / reduction."""
+group law over K, the filtration, and the maps psi / reduction.
+The a_i (integral) and point coordinates are elements or anything
+LocalField.embed_rational reads: a rational or a coefficient vector."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .local_field import LocalField, OElement, KElement, PrecisionExhausted
 from .residue_field import ff_trace, frobenius_inverse
@@ -14,20 +14,20 @@ class NotInE0(ValueError):
     pass
 
 
-def _embed(field, v, prec=None):
+def _embed(field, v):
     if isinstance(v, OElement):
         return v
     if isinstance(v, KElement):
         return v.integral_part()
-    return field.embed_integral_rational(Fraction(v), prec)
+    return field.embed_integral_rational(v)
 
 
-def _embed_k(field, v, prec=None):
+def _embed_k(field, v):
     if isinstance(v, KElement):
         return v
     if isinstance(v, OElement):
         return v.as_k()
-    return field.embed_rational(Fraction(v), prec)
+    return field.embed_rational(v)
 
 
 class WeierstrassCurve:

@@ -186,33 +186,44 @@ class LocalField:
         return OElement(self, coeffs, self.M if prec is None else prec)
 
     def embed_rational(self, q, prec=None) -> "KElement":
-        """Canonical image of a rational number in K."""
-        q = Fraction(q)
+        """The exact value in K of a rational q (an int, a Fraction or an
+        "n/d" string) or of a vector [c_0, c_1, ...] of them, which means
+        sum c_i X^i mod h.  The one precision rule: a nonzero value of
+        valuation v is known mod m_K^max(prec, v + 1), and zero mod
+        m_K^prec; prec defaults to M."""
         prec = self.M if prec is None else prec
-        if q == 0:
+        cs = [Fraction(c) if isinstance(c, str) else c
+              for c in (q if isinstance(q, list) else (q,))]
+        den = math.lcm(*(c.denominator for c in cs))
+        y = self._reduce_poly([c.numerator * (den // c.denominator)
+                               for c in cs])
+        v = min((self.e * _vp(c, self.p) + b
+                 for c, b in zip(y, self.basis_valuations) if c), default=None)
+        if v is None:
             return KElement(self.zero(prec))
-        num, den = q.numerator, q.denominator
-        vn, vd = _vp(num, self.p), _vp(den, self.p)
-        shift = self.e * (vn - vd)
-        num //= self.p ** vn
-        den //= self.p ** vd
-        # prec is absolute: the result is known modulo m_K^prec
-        unit_prec = max(1, prec - shift)
-        mod = self.p ** self.int_prec(unit_prec + max(shift, 0) + self.e)
-        w = (num * pow(den, -1, mod)) % mod
-        if shift >= 0:
-            return KElement(self.element([w * self.p ** (vn - vd)],
-                                         prec=unit_prec + shift))
-        # q = x / pi^-shift with x = w * pi^-shift / p^(vd - vn), a unit
-        pk = self.p ** (vd - vn)
-        return KElement(OElement(self, [w * (c // pk) for c in self.pi_power(-shift)],
-                                 unit_prec), -shift)
+        # q = y / (p^k d') with p ∤ d' is x / pi^s for s = max(0, -v) and
+        # x = (y pi^s / p^k) / d': the X^i are a Z_p-basis of O_K, so
+        # v_K(y pi^s) >= e k makes each coefficient divisible by p^k
+        k = _vp(den, self.p)
+        v -= self.e * k
+        s = max(0, -v)
+        if s:
+            y = self._times(y, self.pi_power(s))
+        x_prec = max(prec, v + 1) + s
+        pk = self.p ** k
+        w = pow(den // pk, -1, self.coeff_modulus(0, x_prec))
+        return KElement(OElement(self, [c // pk * w for c in y], x_prec), s)
 
     def embed_integral_rational(self, q, prec=None) -> "OElement":
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise ValueError(f"{q} is not integral at p={self.p}")
-        return self.embed_rational(q, prec=prec).integral_part()
+        """embed_rational(q, prec) in O_K; a value outside O_K is refused
+        with the first rational that is not p-integral."""
+        z = self.embed_rational(q, prec)
+        if z.s:
+            if not isinstance(q, list):
+                raise ValueError(f"{Fraction(q)} is not integral at p={self.p}")
+            c = next(c for c in map(Fraction, q) if c.denominator % self.p == 0)
+            raise ValueError(f"coefficient {c} in vector is not p-integral")
+        return z.x
 
     # -- sums of products ---------------------------------------------------
 
@@ -501,7 +512,7 @@ class KElement:
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.field.embed_rational(Fraction(other), prec=self.field.M)
+            return self.field.embed_rational(other)
         if isinstance(other, OElement):
             return KElement(other)
         if isinstance(other, KElement) and other.field == self.field:

@@ -143,21 +143,6 @@ class WPoly:
     def items(self):
         return ((unpack(k), v) for k, v in self.d.items())
 
-    def evaluate(self, values, one):
-        """Evaluate at values = (a1,a2,a3,a4,a6) in any ring; one is the
-        target ring's multiplicative identity."""
-        acc = None
-        for exps, c in self.items():
-            term = one
-            for v, e in zip(values, exps):
-                for _ in range(e):
-                    term = term * v
-            term = c * term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return 0 * one
-        return acc
-
     def pretty(self):
         names = ("a1", "a2", "a3", "a4", "a6")
         if not self.d:

@@ -1,10 +1,11 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from e0struct.cli import _embed_coeff, main
+from e0struct.cli import main
 from e0struct.curve import Transform
 from e0struct.local_field import LocalField
 
@@ -163,6 +164,51 @@ def test_verify_point_low_precision_congruence_is_not_torsion(
                           "(mod m^12)\n")
 
 
+def _times_over_q(a, n, P):
+    """[n]P on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q, by
+    the chord-tangent formulas in Fractions, for P of infinite order."""
+    a1, a2, a3, a4, _ = a
+    x1, y1 = map(Fraction, P)
+    x, y = x1, y1
+    for _ in range(n - 1):
+        if x == x1:
+            lam = ((3 * x * x + 2 * a2 * x + a4 - a1 * y)
+                   / (2 * y + a1 * x + a3))
+        else:
+            lam = (y - y1) / (x - x1)
+        x3 = lam * lam + a1 * lam - a2 - x - x1
+        x, y = x3, -(lam + a1) * x3 - (y1 - lam * x1) - a3
+    return x, y
+
+
+def test_verify_point_in_E1(runner):
+    # [DERIVED] 5(-11, 38) on E5 has v_5(x) = -4, so it lies in E_2 and
+    # its coordinates are not integral; like (-11, 38) it has infinite
+    # order
+    x, y = _times_over_q(E5_DESC["a"], 5, (-11, 38))
+    desc = dict(E5_DESC, points=[{"x": str(x), "y": str(y)}])
+    res = runner.invoke(main, ["verify-point", "-"], input=json.dumps(desc))
+    assert res.exit_code == 0
+    assert res.output == ("in E_0, level 2, not p^j-torsion for j <= 2 "
+                          "(mod m^12)\n")
+
+
+@pytest.mark.parametrize("a", [[0, 0, 2, 0, -2], [28, 14, 26, 14, 28]],
+                         ids=["E2", "28-14-26-14-28"])
+@pytest.mark.parametrize("precision", [1, 2])
+def test_equal_integers_give_equal_answers(runner, a, precision):
+    # [DERIVED] an integer c is one value whether it is written c, "c/1",
+    # [c] or [c, 0], so it is known to the same precision each way
+    outs = set()
+    for spell in (lambda c: c, lambda c: f"{c}/1", lambda c: [c],
+                  lambda c: [c, 0]):
+        desc = dict(E2_DESC, a=[spell(c) for c in a], precision=precision)
+        res = runner.invoke(main, ["classify", "--json", "-"],
+                            input=json.dumps(desc))
+        outs.add((res.exit_code, res.output))
+    assert len(outs) == 1
+
+
 def test_verify_point_singular(runner, tmp_path):
     desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
             "a": [0, -6, 0, 8, 0], "precision": 12,
@@ -229,7 +275,7 @@ def test_coefficient_vector_is_read_mod_h(field):
     # [DERIVED] a vector longer than the basis is the same polynomial in X
     # reduced mod h: X^deg = -(h_0 + h_1 X + ...)
     h = field.poly
-    assert (_embed_coeff(field, [0] * field.deg + [1])
+    assert (field.embed_integral_rational([0] * field.deg + [1])
             == field.element([-c for c in h[:-1]]))
 
 

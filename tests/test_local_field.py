@@ -130,6 +130,36 @@ def test_embed_rational_non_pure_eisenstein(poly):
     assert K.embed_rational(Fraction(1, p)) * K.element([p]) == 1
 
 
+@pytest.mark.parametrize("field", [
+    LocalField.unramified(5, 2), LocalField.eisenstein(2, (-2, 2, 1)),
+    LocalField.eisenstein(5, (-5, 0, 0, 1))], ids=["Q_25", "x2+2x-2", "x3-5"])
+def test_embed_rational_of_a_vector_has_the_scalar_rule(field):
+    # [DERIVED] a vector [c_0, c_1, ...] is sum c_i X^i, known to
+    # max(M, v + 1) like a rational of the same valuation, zero to M
+    rng = random.Random(15)
+    K, p, M = field, field.p, field.M
+    X = [K.element([0] * i + [1]).as_k() for i in range(K.deg)]
+
+    def rational():
+        return Fraction(rng.choice([0, 1, -1]) * rng.randrange(1, 50)
+                        * p ** rng.randrange(4),
+                        rng.randrange(1, 50) * p ** rng.randrange(3))
+
+    for _ in range(60):
+        cs = [rational() for _ in range(K.deg)]
+        z = K.embed_rational(cs)
+        assert z == sum((K.embed_rational(c) * x for c, x in zip(cs, X)),
+                        K.zero().as_k())
+        if any(cs):
+            v = z.valuation()
+            assert z.prec == max(M, v + 1)
+        else:
+            assert z.is_zero_at_precision() and z.prec == M
+        for c in cs:
+            one, alone = K.embed_rational([c]), K.embed_rational(c)
+            assert one == alone and one.prec == alone.prec
+
+
 # the presentation over both kinds: (p, n) unramified, or an Eisenstein h;
 # the last three have h(0)/p != +-1, and x - 10 has e = 1
 PRESENTATIONS = [(2, 1), (5, 1), (3, 2), (3, 3),
