@@ -1,15 +1,16 @@
 """Decide the Z_p-module structure of E_0(K) for additive reduction:
 the unramified path through the g polynomial, the Q_p congruence
 shortcuts, the 6e < p-1 fast path, and the exploratory ramified
-computation via a truncated logarithm."""
+computation: the ladder on one point of E(K) gives t([p]P), and a
+logarithm truncated by a proven tail bound maps it to m/m^{1+e}."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .curve import WeierstrassCurve, normalize_additive
-from .formal_group import (G_TABLE, a_mod_p2, eval_at, formal_log,
-                           g_polynomial, mult_degree, specialized_mult_by_n)
+from .formal_group import (G_TABLE, a_mod_p2, formal_log, g_polynomial,
+                           log_degree, t_of_multiple)
 from .local_field import PrecisionExhausted
 from .residue_field import additive_poly_roots, ff_norm
 
@@ -205,9 +206,16 @@ def _hnf(rows):
 
 def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
     """Exploratory classification over a totally ramified K: compute the
-    induced map g: k -> m_K/m_K^{1+e} through the truncated formal
-    logarithm, split off the torsion, and (when torsion-free) report the
-    lattice (1/p) * preimage(im g).  certified is always False."""
+    induced map g: k -> m_K/m_K^{1+e}, split off the torsion, and (when
+    torsion-free) report the lattice (1/p) * preimage(im g).  certified
+    is always False.
+
+    k = F_p has the single generator 1, the class of the point P with
+    t(P) = 1, so im(g) is spanned by y = log t([p]P) mod m^{1+e}.
+    t([p]P) comes from the ladder on points of E(K) (t_of_multiple) with
+    the a_j cut to m^{1+e}: every divisor there is a unit, so no digit
+    is lost.  The log is truncated where its tail provably vanishes mod
+    m^{1+e} (log_degree)."""
     f = E.field
     if f.kind != "eisenstein":
         raise ValueError("ramified_g_map requires an Eisenstein field")
@@ -216,12 +224,18 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
     if not (p - 1 > e or (p == 2 and e <= 2)):
         raise ValueError(
             f"hypothesis-violated: p - 1 = {p - 1} <= e = {e}")
-    # H = k = F_p has the single generator 1; its image spans im(g), and
-    # y mod m^{1+e} needs [p](1) mod m^{1+e}: omega is integral
     target = 1 + e
-    D = mult_degree(E.a, f.one(), target)
-    px = eval_at(E.a, specialized_mult_by_n(E.a, p, D), f.one(), target)
-    y = formal_log(E.a, D).evaluate_univar(px.as_k(), f.one().as_k())
+    a = tuple(f.element(aj.coeffs, min(aj.prec, target)) for aj in E.a)
+    px = t_of_multiple(a, p)
+    if px.prec < target:
+        raise PrecisionExhausted(
+            f"t([p]P) known mod m^{px.prec}; m/m^{target} needs {target}")
+    px = f.element(px.coeffs, target)
+    v = px._vmin()
+    if v == 0:
+        raise InternalInconsistency("t([p]P) is a unit")
+    D = log_degree(p, e, v, target)
+    y = formal_log(a, D).evaluate_univar(px.as_k(), f.one().as_k())
     if y.prec < target:
         raise PrecisionExhausted(
             f"g-map value known mod m^{y.prec}; m/m^{target} needs {target}")

@@ -3,13 +3,15 @@
 Generic computations happen over the weighted ring Z[a1,a2,a3,a4,a6]
 (WPoly coefficients); everything is written against duck-typed
 coefficient rings, so the same routines run on specialized O_K
-coefficients.  The chart is (t, w) = (-x/y, -1/y), where the curve
-equation becomes w = t^3 + a1*t*w + a2*t^2*w + a3*w^2 + a4*t*w^2 + a6*w^3.
+coefficients.  The chord law and the ladder also run on single points
+of E(K), whose coordinates are elements of O_K.  The chart is
+(t, w) = (-x/y, -1/y), where the curve equation becomes
+w = t^3 + a1*t*w + a2*t^2*w + a3*w^2 + a4*t*w^2 + a6*w^3.
 """
 
 from __future__ import annotations
 
-from .local_field import PrecisionExhausted
+from .local_field import PrecisionExhausted, _vp
 from .residue_field import AdditivePoly
 from .series import GENERIC_A, Series, WPoly, _is_zero_coeff, dot
 
@@ -43,24 +45,35 @@ def w_series(a, D: int) -> Series:
     return Series(1, D, {(n,): v for n, v in c.items()})
 
 
-def _negate(a, t: Series, w: Series):
+def _unit_inverse(x, residue):
+    """x^-1 for a unit x of the operand ring: a series over the
+    coefficient ring whose constant term has the inverse `residue`, or an
+    element of O_K, whose inverse then reduces to `residue`."""
+    return x.invert_unit(residue) if isinstance(x, Series) else x.invert()
+
+
+def _negate(a, t, w):
     """-(t, w) = (t, w)/(a1*t + a3*w - 1)."""
-    inv = (t.scale(a[0]) + w.scale(a[2])).add_const(-1).invert_unit(-1)
+    inv = _unit_inverse(a[0] * t + a[2] * w - 1, -1)
     return t * inv, w * inv
 
 
-def _chord_sum(a, lam: Series, nu: Series, t1: Series, t2: Series):
+def _chord_sum(a, lam, nu, t1, t2):
     """(t, w) of P1 + P2, for points with t-coordinates t1, t2 on the line
     w = lam*t + nu (the tangent when they coincide).  Substituting the
     line into the w-equation gives a cubic A*t^3 + B*t^2 + ... whose
-    roots t1, t2, t3 sum to -B/A; the sum is minus the third point."""
+    roots t1, t2, t3 sum to -B/A; the sum is minus the third point.
+
+    The operands are series over the coefficient ring, or elements of
+    O_K for the points of E(K) that t_of_multiple meets; A is a unit
+    either way."""
     a1, a2, a3, a4, a6 = a
     lam2 = lam * lam
     lamnu = lam * nu
-    B = (lam.scale(a1) + lam2.scale(a3) + nu.scale(a2)
-         + lamnu.scale(2 * a4) + (lam * lamnu).scale(3 * a6))
-    A = (lam.scale(a2) + lam2.scale(a4) + (lam2 * lam).scale(a6)).add_const(1)
-    t3 = -(B * A.invert_unit(1)) - t1 - t2
+    B = (a1 * lam + a3 * lam2 + a2 * nu + (2 * a4) * lamnu
+         + (3 * a6) * (lam * lamnu))
+    A = a2 * lam + a4 * lam2 + a6 * (lam2 * lam) + 1
+    t3 = -(B * _unit_inverse(A, 1)) - t1 - t2
     return _negate(a, t3, lam * t3 + nu)
 
 
@@ -111,17 +124,16 @@ def _shift_down(s: Series, k: int) -> Series:
     return Series(1, s.trunc - k, out)
 
 
-def _omega_den(a, t: Series, w: Series) -> Series:
+def _omega_den(a, t, w):
     """-G_w = 1 - a1*t - a2*t^2 - 2*a3*w - 2*a4*t*w - 3*a6*w^2 for the
     curve G(t, w) = 0 of the chart: the unit denominator of the
     invariant differential omega = dt/(-G_w)."""
     a1, a2, a3, a4, a6 = a
-    den = (t.scale(a1) + (t * t).scale(a2) + w.scale(2 * a3)
-           + (t * w).scale(2 * a4) + (w * w).scale(3 * a6))
-    return (-den).add_const(1)
+    return -(a1 * t + a2 * (t * t) + (2 * a3) * w + (2 * a4) * (t * w)
+             + (3 * a6) * (w * w)) + 1
 
 
-def _double(a, P, T):
+def _double(a, P, T=None):
     """2P for P = (t, w) by the tangent slope dw/dt = G_t/(-G_w); at
     P = (T, w(T)) that slope is just w'(T)."""
     t, w = P
@@ -129,50 +141,102 @@ def _double(a, P, T):
         lam = w.derivative()
     else:
         a1, a2, a3, a4, a6 = a
-        G_t = ((t * t).scale(3) + w.scale(a1) + (t * w).scale(2 * a2)
-               + (w * w).scale(a4))
-        lam = G_t * _omega_den(a, t, w).invert_unit(1)
+        G_t = 3 * (t * t) + a1 * w + (2 * a2) * (t * w) + a4 * (w * w)
+        lam = G_t * _unit_inverse(_omega_den(a, t, w), 1)
     return _chord_sum(a, lam, w - lam * t, t, t)
 
 
-def _add_next(a, P, Q):
-    """[k]P + [k+1]P by the chord slope (w_Q - w_P)/(t_Q - t_P); both
-    differences are divisible by T, and (t_Q - t_P)/T has constant term 1,
-    so the slope stays integral."""
+def _add_next(a, P, Q, T=None):
+    """[k]P + [k+1]P by the chord slope (w_Q - w_P)/(t_Q - t_P).  t is
+    additive to first order, so t_Q - t_P is t(P) plus higher terms: for
+    P = (T, w(T)) both differences are divisible by T and the quotient
+    (t_Q - t_P)/T has constant term 1; for a point with t(P) = 1 the
+    difference is a unit = 1 mod m.  Either way the slope stays integral."""
     (t1, w1), (t2, w2) = P, Q
-    lam = _shift_down(w2 - w1, 1) * _shift_down(t2 - t1, 1).invert_unit(1)
+    dt, dw = t2 - t1, w2 - w1
+    if T is not None:
+        dt, dw = _shift_down(dt, 1), _shift_down(dw, 1)
+    lam = dw * _unit_inverse(dt, 1)
     return _chord_sum(a, lam, w1 - lam * t1, t1, t2)
+
+
+def _ladder(a, n: int, P, T=None):
+    """[n]P for n >= 2: a Montgomery ladder on the pair ([k]P, [k+1]P),
+    read off the bits of n; each step either doubles the lower point and
+    adds the two, or adds them and doubles the upper one.  No step
+    divides by anything but a unit."""
+    lo, hi = P, _double(a, P, T)
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        last = i == len(bits) - 1
+        if bit == "1":
+            lo, hi = (_add_next(a, lo, hi, T),
+                      None if last else _double(a, hi, T))
+        else:
+            # 2*[1]P is the [2]P already in hand
+            lo, hi = (hi if lo is P else _double(a, lo, T),
+                      None if last else _add_next(a, lo, hi, T))
+    return lo
 
 
 def specialized_mult_by_n(a, n: int, D: int) -> Series:
     """[n](T) to degree D over any coefficient ring: Z[a1..a6] for the
     generic tables, O_K for a concrete curve.
 
-    A Montgomery ladder on the pair ([k]P, [k+1]P) of (t, w) series in T,
-    P = (T, w(T)), read off the bits of n: each step either doubles the
-    lower point and adds the two, or adds them and doubles the upper one.
-    No step divides by anything but a unit series.  Every addition's
-    slope, and the first doubling's w'(T), costs one degree, so the
-    ladder runs at D + bit_length(n)."""
+    The ladder runs on P = (T, w(T)), a pair of series in T.  Every
+    addition's slope, and the first doubling's w'(T), costs one degree,
+    so the ladder runs at D + bit_length(n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Series.variable(1, D, 0)
     Dx = D + n.bit_length()
     T = Series.variable(1, Dx, 0)
-    P = (T, w_series(a, Dx))
-    lo, hi = P, _double(a, P, T)
-    bits = bin(n)[3:]
-    for i, bit in enumerate(bits):
-        last = i == len(bits) - 1
-        if bit == "1":
-            lo, hi = (_add_next(a, lo, hi),
-                      None if last else _double(a, hi, T))
-        else:
-            # 2*[1]P is the [2]P already in hand
-            lo, hi = (hi if lo is P else _double(a, lo, T),
-                      None if last else _add_next(a, lo, hi))
-    return lo[0].truncate(D)
+    return _ladder(a, n, (T, w_series(a, Dx)), T)[0].truncate(D)
+
+
+def _unit_point(a):
+    """The point (1, w) of E(K) with t = -x/y = 1, over O_K coefficients
+    a in m_K: w is the root = 1 mod m of the curve equation at t = 1,
+    w = 1 + (a1 + a2)*w + (a3 + a4)*w^2 + a6*w^3, by Newton's method from
+    1.  The derivative is -G_w(1, w), a unit, so each step doubles the
+    number of digits of w that are right; the element arithmetic tracks
+    what the a_j give."""
+    a1, a2, a3, a4, a6 = a
+    one = a1.field.one()
+    w = one
+    for _ in range(max(aj.prec for aj in a).bit_length()):
+        G = 1 + (a1 + a2) * w + (a3 + a4) * (w * w) + a6 * (w * w * w) - w
+        w = w + G * _unit_inverse(_omega_den(a, one, w), 1)
+    return one, w
+
+
+def t_of_multiple(a, n: int):
+    """t([n]P) for the point P = (1, w) of _unit_point, n >= 2, by the
+    ladder on points of E(K).  t is additive mod m, so t([k]P) = k mod m for every point the
+    ladder meets: each chord's t-difference, each -G_w, each cubic's A and
+    each negation's a1*t + a3*w - 1 is a unit, and the result is known to
+    the precision of the a_j."""
+    return _ladder(a, n, _unit_point(a))[0]
+
+
+def log_degree(p: int, e: int, v: int, target: int) -> int:
+    """The least D >= 1 such that every term of the formal logarithm past
+    degree D, at an argument of valuation v >= 1, has valuation >= target.
+    The degree-n term is b_(n-1) x^n / n with b_(n-1) integral, because
+    omega is (Silverman AEC IV.1); so its valuation is at least
+    n*v - e*v_p(n)."""
+    if v < 1:
+        raise ValueError(f"log argument of valuation {v} is not in m_K")
+    # a failing n with v_p(n) = j has p^j <= n, so p^j*v - e*j < target;
+    # once p^k*v - e*k >= 1 for some k >= 1, e < p^k*(p - 1)*v and it
+    # grows from k on, so every failing n has v_p(n) < k
+    k = 1
+    while p ** k * v < target + e * k:
+        k += 1
+    top = (target + e * (k - 1) - 1) // v
+    return max([1] + [n for n in range(1, top + 1)
+                      if n * v - e * _vp(n, p) < target])
 
 
 def formal_log(a, D: int) -> Series:

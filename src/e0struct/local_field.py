@@ -512,7 +512,8 @@ class KElement:
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.field.embed_rational(other)
+            return self.field.embed_rational(
+                other, prec=max(self.prec, self.field.M))
         if isinstance(other, OElement):
             return KElement(other)
         if isinstance(other, KElement) and other.field == self.field:

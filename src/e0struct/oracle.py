@@ -14,11 +14,28 @@ intermediate is checked before a model is built."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
-
-import numpy as np
+import sys
 
 from .formal_group import tail_valuation
+
+
+def _lazy_import(name):
+    """The module `name`, executed at its first attribute access: only the
+    oracle needs numpy, and a classify process should not load it.  A
+    module already imported is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 SIZE_BOUND = 2 ** 16
 

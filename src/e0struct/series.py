@@ -266,8 +266,9 @@ class Series:
             raise ValueError("series in different variable sets")
 
     def __add__(self, other):
+        """A series, or a coefficient-ring scalar as a constant term."""
         if not isinstance(other, Series):
-            return NotImplemented
+            return self.add_const(other)
         self._check(other)
         D = min(self.trunc, other.trunc)
         out = {k: v for k, v in self.c.items() if sum(k) <= D}
@@ -292,6 +293,8 @@ class Series:
             return Series(self.nvars, self.trunc)
         return Series(self.nvars, self.trunc,
                       {k: coeff * v for k, v in self.c.items()})
+
+    __rmul__ = scale
 
     def add_const(self, v):
         key = (0,) * self.nvars

@@ -8,7 +8,9 @@ from e0struct.classifier import (GroupStructure, classify_congruence,
                                  ramified_g_map)
 from e0struct.cli import build_curve, build_field
 from e0struct.curve import Transform
-from e0struct.formal_group import TruncationInsufficient
+from e0struct.formal_group import (TruncationInsufficient, eval_at,
+                                   formal_log, log_degree, mult_degree,
+                                   specialized_mult_by_n, t_of_multiple)
 from e0struct.local_field import LocalField, PrecisionExhausted
 from e0struct.oracle import finite_model
 
@@ -115,19 +117,19 @@ def test_ramified_exploratory(Q2sqrt2):
 
 
 def test_ramified_g_map_refuses_a_short_value(Q2sqrt2, monkeypatch):
-    # [DERIVED] a [p](1) known only mod m^2 leaves log([p](1)) short of
+    # [DERIVED] a t([p]P) known only mod m^2 leaves log t([p]P) short of
     # the m/m^{1+e} = m/m^3 the coordinates are read from
     import e0struct.classifier as classifier
 
     E = random_normalized_curve(Q2sqrt2, random.Random(3))
-    eval_at = classifier.eval_at
+    t_of_multiple = classifier.t_of_multiple
 
-    def short_eval_at(*args):
-        v = eval_at(*args)
+    def short_t_of_multiple(*args):
+        v = t_of_multiple(*args)
         return v.field.element(v.coeffs, 2)
 
-    monkeypatch.setattr(classifier, "eval_at", short_eval_at)
-    with pytest.raises(PrecisionExhausted):
+    monkeypatch.setattr(classifier, "t_of_multiple", short_t_of_multiple)
+    with pytest.raises(PrecisionExhausted, match=r"known mod m\^2"):
         ramified_g_map(E)
 
 
@@ -303,6 +305,70 @@ def test_ramified_truncation_over_x5_plus_7():
         r = classify_general(E)
         assert r.evidence["g_image_coords"] == coords, s
         assert r.evidence["log_value"]["prec"] == 1 + K.e
+
+
+def _ramified_curves():
+    """The RAMIFIED_MODELS curves at precision 12e, then the five span-1
+    curves over x^5 + 7 of test_ramified_truncation_over_x5_plus_7."""
+    curves = []
+    for p, poly, a in RAMIFIED_MODELS:
+        desc = {"p": p, "field": {"kind": "eisenstein", "poly": poly},
+                "a": a}
+        curves.append(build_curve(build_field(desc, 12 * (len(poly) - 1)),
+                                  desc))
+    K = LocalField.eisenstein(7, (7, 0, 0, 0, 0, 1), 60)
+    curves += [random_normalized_curve(K, random.Random(s), span=1)
+               for s in range(5)]
+    return curves
+
+
+def _cut(E, prec):
+    return tuple(E.field.element(a.coeffs, min(a.prec, prec)) for a in E.a)
+
+
+def test_ladder_matches_the_mult_by_p_series():
+    # [DERIVED] t([p]P) from the ladder on the point with t(P) = 1 is the
+    # [p] series evaluated at T = 1, mod the m^{1+e} the g-map reads;
+    # with the a_j cut to m^{1+e} the ladder still knows every digit
+    for E in _ramified_curves():
+        K = E.field
+        p, target, one = K.p, 1 + K.e, K.one()
+        D = mult_degree(E.a, one, target)
+        series = eval_at(E.a, specialized_mult_by_n(E.a, p, D), one, target)
+        cut = t_of_multiple(_cut(E, target), p)
+        assert cut.prec == target and cut == series, K.poly
+        assert t_of_multiple(E.a, p) == series, K.poly
+
+
+def test_log_degree_bounds_the_tail():
+    # [DERIVED] past log_degree the log of t([p]P) adds nothing mod
+    # m^{1+e}: the sum to degree 3D, over the a_j at full precision, is
+    # the same y
+    for E in _ramified_curves():
+        K = E.field
+        p, target, one = K.p, 1 + K.e, K.one().as_k()
+        a = _cut(E, target)
+        x = t_of_multiple(a, p)
+        D = log_degree(p, K.e, x._vmin(), target)
+        y = formal_log(a, D).evaluate_univar(x.as_k(), one)
+        y3 = formal_log(E.a, 3 * D).evaluate_univar(x.as_k(), one)
+        assert y.prec == y3.prec == target and y == y3, K.poly
+
+
+def test_log_degree_is_the_last_term_short_of_the_target():
+    # [DERIVED] against the bound n*v - e*v_p(n) term by term, n < 400
+    def vp(n, p):
+        return 0 if n % p else 1 + vp(n // p, p)
+
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3, 4, 5, 6, 12):
+            for v in (1, 2, 3, 9):
+                for target in range(1, 9):
+                    last = max([1] + [n for n in range(1, 400)
+                                      if n * v - e * vp(n, p) < target])
+                    assert log_degree(p, e, v, target) == last
+    with pytest.raises(ValueError):
+        log_degree(2, 2, 0, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2])

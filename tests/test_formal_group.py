@@ -215,8 +215,9 @@ def test_specialized_log_matches_generic(p, poly):
 
 
 def test_ramified_path_composes_nothing(monkeypatch):
-    # [DERIVED] the ramified path reads no generic table and substitutes
-    # no series into another
+    # [DERIVED] the ramified path reads no generic table, substitutes no
+    # series into another and builds no [n] series: t([p]P) comes from
+    # the ladder on points
     from e0struct import formal_group
 
     K = LocalField.eisenstein(5, (-5, 0, 0, 1), 36)
@@ -227,7 +228,11 @@ def test_ramified_path_composes_nothing(monkeypatch):
     calls = []
     compose = Series.compose
     monkeypatch.setattr(Series, "compose",
-                        lambda *args: calls.append(1) or compose(*args))
+                        lambda *args: calls.append("compose")
+                        or compose(*args))
+    mult = formal_group.specialized_mult_by_n
+    monkeypatch.setattr(formal_group, "specialized_mult_by_n",
+                        lambda *args: calls.append("mult") or mult(*args))
     report = classify_general(E)
     assert report.method == "ramified-exploratory"
     assert [dict(c) for c in caches] == before

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +63,19 @@ def test_no_unused_imports(module):
     assert _unused_imports(PACKAGE / f"{module}.py") == []
 
 
+def test_classifier_reads_no_mult_by_p_series():
+    # [DERIVED] the ramified g-map takes t([p]P) from the ladder on one
+    # point of E(K); the [p] series, its truncation degree and its
+    # evaluation serve only the generic tables and verify-point
+    tree = ast.parse((PACKAGE / "classifier.py").read_text())
+    names = _names_in(tree) | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} | {
+        alias.asname or alias.name for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
+    assert names.isdisjoint({"eval_at", "mult_degree",
+                             "specialized_mult_by_n"})
+
+
 def test_trace_targets_resolve():
     # [DERIVED] the benchmark's trace mode (perfbench/tracer.py) patches
     # these program names; a refactor that drops one breaks
@@ -81,17 +95,38 @@ def test_trace_targets_resolve():
     assert callable(getattr(ff, "__iter__", None))
 
 
-def test_cli_import_loads_only_click_and_numpy():
-    # the oracle runs on numpy alone and the descriptor check on plain
-    # Python; a fresh interpreter shows which packages outside the standard
-    # library the import of the CLI pulls in
+def _fresh_python(code, *args):
+    """stdout of `code` run in a fresh interpreter that imports e0struct
+    from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_cli_import_loads_only_click_and_numpy():
+    # the oracle runs on numpy alone and the descriptor check on plain
+    # Python; a fresh interpreter shows which packages outside the standard
+    # library the import of the CLI pulls in
     code = ("import sys; before = set(sys.modules); import e0struct.cli; "
             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
             " - set(sys.stdlib_module_names)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['click', 'e0struct', 'numpy']"
+    assert _fresh_python(code) == "['click', 'e0struct', 'numpy']"
+
+
+def test_classify_executes_no_numpy():
+    # [DERIVED] numpy is imported lazily for the oracle, so classify runs
+    # without executing it: none of its submodules is loaded
+    code = ("import sys; from click.testing import CliRunner; "
+            "from e0struct.cli import main; "
+            "print([CliRunner().invoke(main, ['classify', '-'], input=d)"
+            ".exit_code for d in sys.argv[1:]], "
+            "[m for m in sys.modules if m.startswith('numpy.')])")
+    descs = [{"p": 5, "field": {"kind": "unramified", "n": 1},
+              "a": [0, 20, -5, -15, 0]},
+             {"p": 2, "field": {"kind": "eisenstein", "poly": [-2, 0, 1]},
+              "a": [0, 0, 2, 0, -2]}]
+    assert _fresh_python(code, *map(json.dumps, descs)) == "[0, 2] []"

@@ -118,6 +118,16 @@ def test_integral_part_of_a_zero_below_m0_is_exhausted():
         w.integral_part()
 
 
+def test_an_int_meets_a_k_element_at_its_own_precision():
+    # [DERIVED] an int is embedded to max(the element's precision, M) in
+    # K as in O_K, so 3 + O(m^20) times 5 over Q_5 at M = 12 is known
+    # mod m^20 both ways
+    K = LocalField.unramified(5, 1, 12)
+    x = K.element([3], 20)
+    for y in (x.as_k() * 5, 5 * x.as_k(), (x * 5).as_k()):
+        assert y.prec == 20 and y == 15
+
+
 @pytest.mark.parametrize("poly", [(-2, 2, 1), (-3, 3, 0, 1)])
 def test_embed_rational_non_pure_eisenstein(poly):
     # [DERIVED] p = pi^e * u with u a unit other than 1 when the
