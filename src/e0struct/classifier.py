@@ -164,46 +164,6 @@ def classify_general(E: WeierstrassCurve) -> ClassificationReport:
     return report
 
 
-def _hnf(rows):
-    """Row-style Hermite normal form of an integer matrix (list of row
-    vectors); returns the nonzero rows, lower-triangular, positive pivots."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out = []
-    col = 0
-    while col < ncols and rows:
-        rows.sort(key=lambda r: (r[col] == 0, abs(r[col]) if r[col] else 0))
-        if rows[0][col] == 0:
-            col += 1
-            continue
-        while True:
-            pivot = rows[0]
-            done = True
-            for r in rows[1:]:
-                if r[col]:
-                    k = r[col] // pivot[col]
-                    for j in range(ncols):
-                        r[j] -= k * pivot[j]
-                    done = False
-            rows.sort(key=lambda r: (r[col] == 0,
-                                     abs(r[col]) if r[col] else 0))
-            if done or all(r[col] == 0 for r in rows[1:]):
-                break
-        pivot = rows.pop(0)
-        if pivot[col] < 0:
-            pivot = [-v for v in pivot]
-        for r in out:
-            k = r[col] // pivot[col]
-            if k:
-                for j in range(ncols):
-                    r[j] -= k * pivot[j]
-        out.append(pivot)
-        col += 1
-    return out
-
-
 def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
     """Exploratory classification over a totally ramified K: compute the
     induced map g: k -> m_K/m_K^{1+e}, split off the torsion, and (when
@@ -226,7 +186,7 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
             f"hypothesis-violated: p - 1 = {p - 1} <= e = {e}")
     target = 1 + e
     a = tuple(f.element(aj.coeffs, min(aj.prec, target)) for aj in E.a)
-    px = t_of_multiple(a, p)
+    px = t_of_multiple(a, p, f.one())
     if px.prec < target:
         raise PrecisionExhausted(
             f"t([p]P) known mod m^{px.prec}; m/m^{target} needs {target}")
@@ -274,19 +234,23 @@ def _m_mod_coords(y, field):
 
 def _ramified_lattice(coords, field):
     """Basis of (1/p)*(preimage of im g) as rows of Fractions over the
-    O_K-basis 1, pi, ..., pi^{e-1}."""
+    O_K-basis 1, pi, ..., pi^{e-1}, in echelon form with entries in
+    [0, p) off the diagonal.
+
+    The preimage is p*m + Z_p*y for y = c_e*p + sum c_i*pi^i (i < e), and
+    p*m = p^2 Z_p + sum p*pi^i Z_p.  When c_e != 0, y/c_e reduces to the
+    row (p, c_i/c_e mod p, ...), which also gives p^2; otherwise, with j
+    the first c_j != 0, y/c_j reduces to pi^j + sum_{i>j} (c_i/c_j mod p)
+    pi^i and takes the place of p*pi^j."""
     e, p = field.e, field.p
-    n = e
-    # m^{1+e} = pi^{1+e} O_K = p * pi * O_K: rows p*pi^{i+1} reduced
-    rows = []
-    for i in range(n):
-        vec = field.pi_power(i + 1)
-        rows.append([p * v for v in vec])
-    # lift of the image vector: coords on (pi..pi^{e-1}, p)
-    lift = [0] * n
-    for j, c in enumerate(coords[:-1]):
-        lift[j + 1] += c
-    lift[0] += p * coords[-1]
-    rows.append(lift)
-    basis = _hnf(rows)
-    return [[Fraction(v, p) for v in row] for row in basis]
+    *c, ce = coords  # c[i - 1] is the coordinate on pi^i
+    rows = [[0] * i + [p] + [0] * (e - 1 - i) for i in range(e)]
+    rows[0][0] = p * p
+    if ce:
+        inv = pow(ce, -1, p)
+        rows[0] = [p] + [ci * inv % p for ci in c]
+    else:
+        j = next(i for i, ci in enumerate(c, 1) if ci)
+        inv = pow(c[j - 1], -1, p)
+        rows[j] = [0] * j + [1] + [ci * inv % p for ci in c[j:]]
+    return [[Fraction(v, p) for v in row] for row in rows]

@@ -19,10 +19,9 @@ import click
 from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
                     psi_E0, reduce_point, reduction_type, filtration_level)
-from .formal_group import (G_TABLE, eval_at, generic_group_law,
-                           generic_mult_by_n, mult_degree,
-                           specialized_mult_by_n)
-from .local_field import LocalField
+from .formal_group import (G_TABLE, generic_group_law, generic_mult_by_n,
+                           t_of_multiple)
+from .local_field import LocalField, PrecisionExhausted
 from .oracle import compare
 from .residue_field import is_prime
 
@@ -300,14 +299,20 @@ def _verify_one(E, report, raw, precision, tr=None):
 
 
 def _torsion_order(E, P, precision):
-    """p^j for the least j <= 2 with [p^j]P = O mod m^precision, or None."""
+    """p^j for the least j <= 2 with [p^j]P = O mod m^precision, or None.
+    t([p^j]P) comes from the ladder on the point P itself
+    (formal_group.t_of_multiple), known to the precision of t(P); a
+    value known below m^precision decides nothing and is refused."""
     p = E.field.p
-    val = psi_E0(E, P)
-    # [p] raises valuations, so the degree that serves psi(P) serves [p]psi(P)
-    mp = specialized_mult_by_n(E.a, p, mult_degree(E.a, val, precision))
+    t = psi_E0(E, P)
     for j in (1, 2):
-        val = eval_at(E.a, mp, val, precision)
-        if val.is_zero_at_precision():
+        tj = t_of_multiple(E.a, p ** j, t)
+        if tj.prec < precision:
+            raise PrecisionExhausted(
+                f"t([{p}^{j}]P) known mod m^{tj.prec}; the torsion check "
+                f"needs m^{precision}")
+        v = tj.valuation_or_none()
+        if v is None or v >= precision:
             return p ** j
     return None
 

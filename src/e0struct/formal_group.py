@@ -3,10 +3,16 @@
 Generic computations happen over the weighted ring Z[a1,a2,a3,a4,a6]
 (WPoly coefficients); everything is written against duck-typed
 coefficient rings, so the same routines run on specialized O_K
-coefficients.  The chord law and the ladder also run on single points
-of E(K), whose coordinates are elements of O_K.  The chart is
-(t, w) = (-x/y, -1/y), where the curve equation becomes
+coefficients.  The chart is (t, w) = (-x/y, -1/y), where the curve
+equation becomes
 w = t^3 + a1*t*w + a2*t^2*w + a3*w^2 + a4*t*w^2 + a6*w^3.
+
+Every multiple [n] runs on one ladder of chords and tangents, on a
+point whose t is a unit: the chart change t = u*t', w = u^3*w',
+a_i' = u^i*a_i makes it one.  With u = pi^v(t) that is a
+point of E(K) over O_K (t_of_multiple); with u = T it is the point
+(1, w(T)/T^3) over the series in T, and [n](T) = T*t'([n]P')
+(specialized_mult_by_n).
 """
 
 from __future__ import annotations
@@ -65,8 +71,7 @@ def _chord_sum(a, lam, nu, t1, t2):
     roots t1, t2, t3 sum to -B/A; the sum is minus the third point.
 
     The operands are series over the coefficient ring, or elements of
-    O_K for the points of E(K) that t_of_multiple meets; A is a unit
-    either way."""
+    O_K; A is a unit either way (_ladder)."""
     a1, a2, a3, a4, a6 = a
     lam2 = lam * lam
     lamnu = lam * nu
@@ -115,15 +120,6 @@ def generic_mult_by_n(n: int, D: int) -> Series:
     return _GEN_MULT[key]
 
 
-def _shift_down(s: Series, k: int) -> Series:
-    out = {}
-    for (d,), v in s.c.items():
-        if d < k:
-            raise ValueError(f"series not divisible by T^{k}")
-        out[(d - k,)] = v
-    return Series(1, s.trunc - k, out)
-
-
 def _omega_den(a, t, w):
     """-G_w = 1 - a1*t - a2*t^2 - 2*a3*w - 2*a4*t*w - 3*a6*w^2 for the
     curve G(t, w) = 0 of the chart: the unit denominator of the
@@ -133,49 +129,42 @@ def _omega_den(a, t, w):
              + (3 * a6) * (w * w)) + 1
 
 
-def _double(a, P, T=None):
-    """2P for P = (t, w) by the tangent slope dw/dt = G_t/(-G_w); at
-    P = (T, w(T)) that slope is just w'(T)."""
+def _double(a, P):
+    """2P for P = (t, w) by the tangent slope dw/dt = G_t/(-G_w)."""
+    a1, a2, a3, a4, a6 = a
     t, w = P
-    if t is T:
-        lam = w.derivative()
-    else:
-        a1, a2, a3, a4, a6 = a
-        G_t = 3 * (t * t) + a1 * w + (2 * a2) * (t * w) + a4 * (w * w)
-        lam = G_t * _unit_inverse(_omega_den(a, t, w), 1)
+    G_t = 3 * (t * t) + a1 * w + (2 * a2) * (t * w) + a4 * (w * w)
+    lam = G_t * _unit_inverse(_omega_den(a, t, w), 1)
     return _chord_sum(a, lam, w - lam * t, t, t)
 
 
-def _add_next(a, P, Q, T=None):
+def _add_next(a, P, Q):
     """[k]P + [k+1]P by the chord slope (w_Q - w_P)/(t_Q - t_P).  t is
-    additive to first order, so t_Q - t_P is t(P) plus higher terms: for
-    P = (T, w(T)) both differences are divisible by T and the quotient
-    (t_Q - t_P)/T has constant term 1; for a point with t(P) = 1 the
-    difference is a unit = 1 mod m.  Either way the slope stays integral."""
+    additive on the cusp, so t_Q - t_P = t(P) mod m, a unit."""
     (t1, w1), (t2, w2) = P, Q
-    dt, dw = t2 - t1, w2 - w1
-    if T is not None:
-        dt, dw = _shift_down(dt, 1), _shift_down(dw, 1)
-    lam = dw * _unit_inverse(dt, 1)
+    lam = (w2 - w1) * _unit_inverse(t2 - t1, 1)
     return _chord_sum(a, lam, w1 - lam * t1, t1, t2)
 
 
-def _ladder(a, n: int, P, T=None):
-    """[n]P for n >= 2: a Montgomery ladder on the pair ([k]P, [k+1]P),
-    read off the bits of n; each step either doubles the lower point and
-    adds the two, or adds them and doubles the upper one.  No step
-    divides by anything but a unit."""
-    lo, hi = P, _double(a, P, T)
+def _ladder(a, n: int, P):
+    """[n]P for n >= 2 and a point P whose t is a unit: a Montgomery
+    ladder on the pair ([k]P, [k+1]P), read off the bits of n; each step
+    either doubles the lower point and adds the two, or adds them and
+    doubles the upper one.  With every a_j in m, t([k]P) = k*t(P) mod m,
+    so each chord's t-difference, each -G_w, each cubic's A and each
+    negation's a1*t + a3*w - 1 is a unit: no step divides by anything
+    else, and the result is known to the precision of its inputs."""
+    lo, hi = P, _double(a, P)
     bits = bin(n)[3:]
     for i, bit in enumerate(bits):
         last = i == len(bits) - 1
         if bit == "1":
-            lo, hi = (_add_next(a, lo, hi, T),
-                      None if last else _double(a, hi, T))
+            lo, hi = (_add_next(a, lo, hi),
+                      None if last else _double(a, hi))
         else:
             # 2*[1]P is the [2]P already in hand
-            lo, hi = (hi if lo is P else _double(a, lo, T),
-                      None if last else _add_next(a, lo, hi, T))
+            lo, hi = (hi if lo is P else _double(a, lo),
+                      None if last else _add_next(a, lo, hi))
     return lo
 
 
@@ -183,41 +172,52 @@ def specialized_mult_by_n(a, n: int, D: int) -> Series:
     """[n](T) to degree D over any coefficient ring: Z[a1..a6] for the
     generic tables, O_K for a concrete curve.
 
-    The ladder runs on P = (T, w(T)), a pair of series in T.  Every
-    addition's slope, and the first doubling's w'(T), costs one degree,
-    so the ladder runs at D + bit_length(n)."""
+    The chart change t = T*t', w = T^3*w' takes the curve to the model
+    a_i' = a_i*T^i and the point (T, w(T)) to P' = (1, w(T)/T^3), whose
+    t' is a unit; so [n](T) = T*t'([n]P'), with t'([n]P') to degree
+    D - 1 from the ladder."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
+    if n == 1 or D == 0:
         return Series.variable(1, D, 0)
-    Dx = D + n.bit_length()
-    T = Series.variable(1, Dx, 0)
-    return _ladder(a, n, (T, w_series(a, Dx)), T)[0].truncate(D)
+    w = Series(1, D - 1, {(d - 3,): v
+                          for (d,), v in w_series(a, D + 2).c.items()})
+    a = tuple(Series(1, D - 1, {(i,): aj})
+              for i, aj in zip((1, 2, 3, 4, 6), a))
+    t = _ladder(a, n, (Series.const(1, D - 1, 1), w))[0]
+    return Series(1, D, {(d + 1,): v for (d,), v in t.c.items()})
 
 
-def _unit_point(a):
-    """The point (1, w) of E(K) with t = -x/y = 1, over O_K coefficients
-    a in m_K: w is the root = 1 mod m of the curve equation at t = 1,
-    w = 1 + (a1 + a2)*w + (a3 + a4)*w^2 + a6*w^3, by Newton's method from
-    1.  The derivative is -G_w(1, w), a unit, so each step doubles the
-    number of digits of w that are right; the element arithmetic tracks
-    what the a_j give."""
+def _unit_point(a, t):
+    """The point (t, w) of E(K) for a unit t of O_K, over O_K
+    coefficients a in m_K: the formal group is parametrized by t alone,
+    and w is the root = t^3 mod m of the chart equation, by Newton's
+    method from t^3.  The derivative is -G_w(t, w), a unit, so each step
+    doubles the number of digits of w that are right; the element
+    arithmetic tracks what t and the a_j give."""
     a1, a2, a3, a4, a6 = a
-    one = a1.field.one()
-    w = one
-    for _ in range(max(aj.prec for aj in a).bit_length()):
-        G = 1 + (a1 + a2) * w + (a3 + a4) * (w * w) + a6 * (w * w * w) - w
-        w = w + G * _unit_inverse(_omega_den(a, one, w), 1)
-    return one, w
+    tt = t * t
+    w = tt * t
+    for _ in range(min(t.prec, max(aj.prec for aj in a)).bit_length()):
+        ww = w * w
+        G = (tt * t + a1 * (t * w) + a2 * (tt * w) + a3 * ww
+             + a4 * (t * ww) + a6 * (w * ww) - w)
+        w = w + G * _unit_inverse(_omega_den(a, t, w), 1)
+    return t, w
 
 
-def t_of_multiple(a, n: int):
-    """t([n]P) for the point P = (1, w) of _unit_point, n >= 2, by the
-    ladder on points of E(K).  t is additive mod m, so t([k]P) = k mod m for every point the
-    ladder meets: each chord's t-difference, each -G_w, each cubic's A and
-    each negation's a1*t + a3*w - 1 is a unit, and the result is known to
-    the precision of the a_j."""
-    return _ladder(a, n, _unit_point(a))[0]
+def t_of_multiple(a, n: int, t):
+    """t([n]P), n >= 2, for the point P of E(K) with t(P) = t, an element
+    of O_K of known valuation r, over O_K coefficients a in m_K.
+
+    The chart change t = pi^r*t', w = pi^(3r)*w' (AEC III.1 with
+    u = pi^-r) takes the curve to the model a_i' = pi^(i*r)*a_i, on which
+    P is the point of the unit t' = t/pi^r; the ladder runs there, and
+    t([n]P) = pi^r*t'([n]P).  Every divisor is a unit (_ladder), so the
+    result is known to the precision of t and the a_j."""
+    r = t.valuation()
+    a = tuple(aj.shift_up(i * r) for i, aj in zip((1, 2, 3, 4, 6), a))
+    return _ladder(a, n, _unit_point(a, t.shift_down(r)))[0].shift_up(r)
 
 
 def log_degree(p: int, e: int, v: int, target: int) -> int:
@@ -293,20 +293,6 @@ def tail_valuation(a, D: int, vx: int) -> int:
     a_j; a normalized curve has a_j in m_K but not always v(a_j) >= e."""
     vmin = min(aj._vmin() for aj in a)
     return vmin * -(-D // 6) + (D + 1) * vx
-
-
-def mult_degree(a, x, target_prec: int) -> int:
-    """The least truncation degree D of an [n] series over a whose tail
-    at x has valuation >= target_prec (tail_valuation)."""
-    vx = x._vmin()
-    if vx == 0 and min(aj._vmin() for aj in a) == 0:
-        raise TruncationInsufficient(
-            "no truncation degree bounds the tail at a unit argument "
-            "when some a_j is a unit")
-    D = 0
-    while tail_valuation(a, D, vx) < target_prec:
-        D += 1
-    return D
 
 
 def eval_at(a, s: Series, x, target_prec: int):

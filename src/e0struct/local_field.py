@@ -552,10 +552,18 @@ class KElement:
         return (-self) + other
 
     def __mul__(self, other):
+        """One O_K product, kept in lowest terms: a known valuation of x
+        is divided out of the shift, so a chain of products does not
+        carry pi^s inside x.  An apparent zero keeps product_prec."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElement(self.x * o.x, self.s + o.s)
+        x, s = self.x * o.x, self.s + o.s
+        v = x.valuation_or_none() if s else None
+        if v:
+            k = min(v, s)
+            x, s = x.shift_down(k), s - k
+        return KElement(x, s)
 
     __rmul__ = __mul__
 
@@ -573,6 +581,14 @@ class KElement:
         return KElement(w, v) if v >= 0 else KElement(w.shift_up(-v))
 
     def __truediv__(self, other):
+        """self / other; a rational q divides exactly, as the product with
+        1/q embedded just precisely enough to keep every digit of self:
+        the quotient is known mod m^(self.prec - v(q))."""
+        if isinstance(other, (int, Fraction)):
+            f = self.field
+            q = 1 / Fraction(other)
+            v = f.e * (_vp(q.denominator, f.p) - _vp(q.numerator, f.p))
+            return self * f.embed_rational(q, prec=self.x.prec - v)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -379,15 +379,6 @@ class Series:
                 result = result.add_const(cd)
         return result
 
-    def derivative(self):
-        if self.nvars != 1:
-            raise ValueError("derivative only for univariate series")
-        out = {}
-        for (d,), v in self.c.items():
-            if d > 0:
-                out[(d - 1,)] = d * v
-        return Series(1, self.trunc - 1, out)
-
     def integrate(self):
         """Antiderivative with zero constant term; divides by exponents, so
         coefficients leave their ring: ints and WPolys pick up Fractions,

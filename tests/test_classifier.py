@@ -1,15 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from e0struct.classifier import (GroupStructure, classify_congruence,
-                                 classify_general, classify_unramified,
-                                 ramified_g_map)
+from e0struct.classifier import (GroupStructure, _ramified_lattice,
+                                 classify_congruence, classify_general,
+                                 classify_unramified, ramified_g_map)
 from e0struct.cli import build_curve, build_field
 from e0struct.curve import Transform
 from e0struct.formal_group import (TruncationInsufficient, eval_at,
-                                   formal_log, log_degree, mult_degree,
+                                   formal_log, log_degree,
                                    specialized_mult_by_n, t_of_multiple)
 from e0struct.local_field import LocalField, PrecisionExhausted
 from e0struct.oracle import finite_model
@@ -329,15 +330,109 @@ def _cut(E, prec):
 def test_ladder_matches_the_mult_by_p_series():
     # [DERIVED] t([p]P) from the ladder on the point with t(P) = 1 is the
     # [p] series evaluated at T = 1, mod the m^{1+e} the g-map reads;
-    # with the a_j cut to m^{1+e} the ladder still knows every digit
+    # with the a_j cut to m^{1+e} the ladder still knows every digit.
+    # Degree 31 bounds the tail at a unit for every curve here (eval_at
+    # checks it): v(a_j) >= 1 and 1 + e <= 6
     for E in _ramified_curves():
         K = E.field
         p, target, one = K.p, 1 + K.e, K.one()
-        D = mult_degree(E.a, one, target)
-        series = eval_at(E.a, specialized_mult_by_n(E.a, p, D), one, target)
-        cut = t_of_multiple(_cut(E, target), p)
+        series = eval_at(E.a, specialized_mult_by_n(E.a, p, 31), one, target)
+        cut = t_of_multiple(_cut(E, target), p, one)
         assert cut.prec == target and cut == series, K.poly
-        assert t_of_multiple(E.a, p) == series, K.poly
+        assert t_of_multiple(E.a, p, one) == series, K.poly
+
+
+def _hnf(rows):
+    """Row-style Hermite normal form of an integer matrix (list of row
+    vectors); returns the nonzero rows, lower-triangular, positive pivots."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    out = []
+    col = 0
+    while col < ncols and rows:
+        rows.sort(key=lambda r: (r[col] == 0, abs(r[col]) if r[col] else 0))
+        if rows[0][col] == 0:
+            col += 1
+            continue
+        while True:
+            pivot = rows[0]
+            done = True
+            for r in rows[1:]:
+                if r[col]:
+                    k = r[col] // pivot[col]
+                    for j in range(ncols):
+                        r[j] -= k * pivot[j]
+                    done = False
+            rows.sort(key=lambda r: (r[col] == 0,
+                                     abs(r[col]) if r[col] else 0))
+            if done or all(r[col] == 0 for r in rows[1:]):
+                break
+        pivot = rows.pop(0)
+        if pivot[col] < 0:
+            pivot = [-v for v in pivot]
+        for r in out:
+            k = r[col] // pivot[col]
+            if k:
+                for j in range(ncols):
+                    r[j] -= k * pivot[j]
+        out.append(pivot)
+        col += 1
+    return out
+
+
+def _hnf_lattice(coords, field):
+    """The reference for _ramified_lattice: the integer Hermite normal
+    form of the rows p*pi^(i+1), i < e, and the lift of the image vector,
+    divided by p."""
+    e, p = field.e, field.p
+    rows = [[p * v for v in field.pi_power(i + 1)] for i in range(e)]
+    lift = [p * coords[-1]] + list(coords[:-1])
+    return [[Fraction(v, p) for v in row] for row in _hnf(rows + [lift])]
+
+
+def _zp_coordinates(row, basis):
+    """The coordinates of row on an echelon basis (row i pivots in column
+    i), or None when row is not in its Q-span."""
+    row, out = list(row), []
+    for i, b in enumerate(basis):
+        c = row[i] / b[i]
+        out.append(c)
+        row = [x - c * y for x, y in zip(row, b)]
+    return out if not any(row) else None
+
+
+def _same_zp_lattice(A, B, p):
+    return all(c is not None and all(x.denominator % p for x in c)
+               for X, Y in ((A, B), (B, A)) for c in
+               (_zp_coordinates(row, Y) for row in X))
+
+
+@pytest.mark.parametrize("p,poly", [
+    (2, (-2, 0, 1)), (2, (-2, 2, 1)), (5, (-5, 0, 0, 1)), (7, (-7, 0, 1)),
+    (7, (7, 0, 0, 0, 0, 1))])
+def test_closed_form_lattice_is_the_hnf(p, poly):
+    # [DERIVED] when h_0 = +-p, the closed form is the integer Hermite
+    # normal form, row for row, on every nonzero image vector
+    K = LocalField.eisenstein(p, poly)
+    for coords in itertools.product(range(p), repeat=K.e):
+        if any(coords):
+            assert _ramified_lattice(list(coords), K) == _hnf_lattice(
+                list(coords), K), coords
+
+
+def test_closed_form_lattice_is_the_hnf_up_to_a_unit():
+    # [DERIVED] over Q_2 with h = x^2 - 6, the integer HNF carries the
+    # 2-adic unit 3 = -h_0/p (its row p*pi^2 has the entry -2*h_0 = 12);
+    # the closed form does not, and both bases span one Z_2-lattice
+    K = LocalField.eisenstein(2, (-6, 0, 1))
+    differ = 0
+    for coords in ([0, 1], [1, 0], [1, 1]):
+        closed, hnf = _ramified_lattice(coords, K), _hnf_lattice(coords, K)
+        differ += closed != hnf
+        assert _same_zp_lattice(closed, hnf, 2), coords
+    assert differ
 
 
 def test_log_degree_bounds_the_tail():
@@ -348,7 +443,7 @@ def test_log_degree_bounds_the_tail():
         K = E.field
         p, target, one = K.p, 1 + K.e, K.one().as_k()
         a = _cut(E, target)
-        x = t_of_multiple(a, p)
+        x = t_of_multiple(a, p, K.one())
         D = log_degree(p, K.e, x._vmin(), target)
         y = formal_log(a, D).evaluate_univar(x.as_k(), one)
         y3 = formal_log(E.a, 3 * D).evaluate_univar(x.as_k(), one)

@@ -117,6 +117,20 @@ def test_formal_group_g_line(runner, p, line):
     assert json.loads(res.output)["g"] == ("T" if p > 7 else line[4:])
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_formal_group_degree_0(runner, n):
+    # [DERIVED] to degree 0, F and every [n](T) are the zero series
+    res = runner.invoke(main, ["formal-group", "--n-series", str(n),
+                               "--degree", "0"])
+    assert res.exit_code == 0
+    assert res.output == (f"F(X, Y) = 0 + O(deg 1)\n"
+                          f"[{n}](T) = 0 + O(T^1)\n")
+    res = runner.invoke(main, ["formal-group", "--n-series", str(n),
+                               "--degree", "0", "--json"])
+    assert json.loads(res.output) == {"F": "0",
+                                      "mult": {"n": n, "series": "0"}}
+
+
 def test_formal_group_degree_cap(runner):
     res = runner.invoke(main, ["formal-group", "--p", "3", "--degree", "99"])
     assert res.exit_code == 1

@@ -7,7 +7,8 @@ from e0struct.classifier import classify_general
 from e0struct.formal_group import (G_TABLE, _negate, eval_at, formal_log,
                                    formal_sum, g_polynomial,
                                    generic_mult_by_n, specialize,
-                                   specialized_mult_by_n, w_series)
+                                   specialized_mult_by_n, t_of_multiple,
+                                   tail_valuation, w_series)
 from e0struct.local_field import LocalField
 from e0struct.series import GENERIC_A, Series, WPoly
 
@@ -331,6 +332,36 @@ def test_unramified_classify_reads_no_generic_table(p, n, monkeypatch):
         classify_general(random_normalized_curve(K, rng))
     assert [dict(c) for c in caches] == before
     assert calls == []
+
+
+LADDER_FIELDS = [(2, 1, None), (5, 1, None), (3, 2, None), (2, 1, (-2, 0, 1)),
+                 (7, 1, (-7, 0, 1))]
+
+
+@pytest.mark.parametrize("p,n,poly", LADDER_FIELDS)
+def test_ladder_on_a_point_matches_the_series(p, n, poly):
+    # [DERIVED] t([n]P) from the ladder on the point P with t(P) = t, on
+    # the chart rescaled so that t/pi^v(t) is a unit, is the [n] series
+    # evaluated at t, for points of levels 0-3 and n = p, p^2; the
+    # ladder knows every digit of t.  eval_at is the reference, at the
+    # least degree whose tail bound covers the precision M = 8
+    M = 8
+    K = (LocalField.unramified(p, n, M) if poly is None
+         else LocalField.eisenstein(p, poly, M))
+    rng = random.Random(f"ladder/{p}/{n}/{poly}")
+    for _ in range(3):
+        E = random_normalized_curve(K, rng)
+        for r in range(4):
+            u = K.element([rng.randrange(1, p)]
+                          + [rng.randrange(p) for _ in range(K.deg - 1)])
+            t = u * K.uniformizer ** r
+            D = 1
+            while tail_valuation(E.a, D, r) < M:
+                D += 1
+            for m in (p, p * p):
+                series = eval_at(E.a, specialized_mult_by_n(E.a, m, D), t, M)
+                ladder = t_of_multiple(E.a, m, t)
+                assert ladder.prec >= t.prec and ladder == series, (r, m)
 
 
 def test_eval_at_stable_under_degree(Q2):

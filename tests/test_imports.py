@@ -64,26 +64,63 @@ def test_no_unused_imports(module):
 
 
 def test_classifier_reads_no_mult_by_p_series():
-    # [DERIVED] the ramified g-map takes t([p]P) from the ladder on one
-    # point of E(K); the [p] series, its truncation degree and its
-    # evaluation serve only the generic tables and verify-point
-    tree = ast.parse((PACKAGE / "classifier.py").read_text())
-    names = _names_in(tree) | {
-        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} | {
-        alias.asname or alias.name for n in ast.walk(tree)
-        if isinstance(n, (ast.Import, ast.ImportFrom)) for alias in n.names}
-    assert names.isdisjoint({"eval_at", "mult_degree",
-                             "specialized_mult_by_n"})
+    # [DERIVED] the ramified g-map and verify-point take t([n]P) from the
+    # ladder on one point of E(K); the [p] series and its evaluation
+    # serve only the generic tables and the tests
+    for module in ("classifier", "cli"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        names = _names_in(tree) | {
+            n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} | {
+            alias.asname or alias.name for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            for alias in n.names}
+        assert names.isdisjoint({"eval_at", "mult_degree",
+                                 "specialized_mult_by_n"}), module
+
+
+def _called_names():
+    """The names that some call in src/ reaches, as f(...) or x.f(...)."""
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name):
+                    called.add(f.id)
+                elif isinstance(f, ast.Attribute):
+                    called.add(f.attr)
+    return called
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_trace_targets_without_a_caller_in_src():
+    # [DERIVED] the benchmark times these names although nothing in src/
+    # calls them, so their metrics read 0; they stay in src/ only for the
+    # tracer (ROADMAP item 6).  Operators reach the dunder targets.  A new
+    # orphan, or one that gains a caller or leaves, fails here
+    called = _called_names()
+    tracer = _tracer()
+    orphans = {(modname, attr) for _name, modname, attr
+               in tracer.TIMED + tracer.COUNTED
+               if not attr.split(".")[-1].startswith("__")
+               and attr.split(".")[-1] not in called}
+    assert orphans == {("formal_group", "specialize"),
+                       ("series", "Series.compose"),
+                       ("formal_group", "eval_at")}
 
 
 def test_trace_targets_resolve():
     # [DERIVED] the benchmark's trace mode (perfbench/tracer.py) patches
     # these program names; a refactor that drops one breaks
     # `perfbench/run.py --trace 1`, which no other test runs
-    spec = importlib.util.spec_from_file_location(
-        "_bench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _tracer()
     import e0struct.cli  # noqa: F401  loads every program module
     for _name, modname, attr in tracer.TIMED + tracer.COUNTED:
         owner, key = tracer._resolve(modname, attr)

@@ -6,6 +6,8 @@ import pytest
 from e0struct.local_field import (KElement, LocalField, NotInvertible,
                                   PrecisionExhausted)
 
+from conftest import FIXTURE_COEFFS, make_curve
+
 
 @pytest.fixture
 def K22():
@@ -126,6 +128,44 @@ def test_an_int_meets_a_k_element_at_its_own_precision():
     x = K.element([3], 20)
     for y in (x.as_k() * 5, 5 * x.as_k(), (x * 5).as_k()):
         assert y.prec == 20 and y == 15
+
+
+def test_division_by_a_rational_loses_its_valuation_once(K22):
+    # [DERIVED] 3 is known mod m^12 over Q_5 at M = 12, so 3/5 is known
+    # mod m^11 and 3/25 mod m^10; dividing by 2/5 gains a digit.  Over
+    # Q_2(sqrt 2), v(2) = 2
+    Q5 = LocalField.unramified(5, 1, 12)
+    three = Q5.embed_rational(3)
+    for q, prec in ((5, 11), (25, 10), (Fraction(5, 2), 11),
+                    (Fraction(2, 5), 13), (3, 12)):
+        y = three / q
+        assert y.prec == prec and y == 3 / Fraction(q), q
+    for q, prec in ((2, 10), (4, 8), (3, 12)):
+        y = K22.embed_rational(3) / q
+        assert y.prec == prec and y == Fraction(3, q), q
+    with pytest.raises(ZeroDivisionError):
+        three / 0
+
+
+def test_k_product_chains_stay_in_lowest_terms():
+    # [DERIVED] over Q_7 at M = 14, t = t([7]P) for the point P of E7
+    # with t(P) = 1, computed by the group law over K, is pi^2 times a
+    # unit; its 8th power keeps no pi^s inside x, so its digits are
+    # those of the same power in O_K (24 decimal digits, not 51)
+    from e0struct.curve import CurvePoint, point_mul
+    from e0struct.formal_group import _unit_point
+
+    K = LocalField.unramified(7, 1, 14)
+    E = make_curve(K, FIXTURE_COEFFS["E7"][1])
+    t, w = _unit_point(E.a, K.one())
+    winv = w.as_k().invert()
+    Q = point_mul(E, 7, CurvePoint(t.as_k() * winv, -winv))
+    t7 = -(Q.x / Q.y)
+    assert t7.valuation() == 2 and t7.s == 0
+    t8 = t7 ** 8
+    assert t8.s == 0 and t8.prec == 28
+    assert t8 == t7.integral_part() ** 8
+    assert max(len(str(c)) for c in t8.x.coeffs) <= 24
 
 
 @pytest.mark.parametrize("poly", [(-2, 2, 1), (-3, 3, 0, 1)])

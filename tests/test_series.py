@@ -78,11 +78,13 @@ def test_series_compose():
     assert g.compose(f) == f * f
 
 
-def test_series_derivative_integrate_roundtrip():
-    s = Series.variable(1, 7, 0, Fraction(1)) ** 3 + Series.variable(
-        1, 7, 0, Fraction(2)
-    )
-    assert s.derivative().integrate() == s
+def test_series_integrate():
+    # [DERIVED] the antiderivative of 2 + 3T^2 is 2T + T^3, one degree
+    # longer; that of T + T^2 is T^2/2 + T^3/3, in Fractions
+    s = Series(1, 7, {(0,): 2, (2,): 3}).integrate()
+    assert s.trunc == 8 and s.c == {(1,): 2, (3,): 1}
+    s = Series(1, 7, {(1,): 1, (2,): 1}).integrate()
+    assert s.c == {(2,): Fraction(1, 2), (3,): Fraction(1, 3)}
 
 
 def test_series_evaluate_univar():
