@@ -8,15 +8,14 @@ from .classifier import (ClassificationReport, GroupStructure,
                          classify_congruence, classify_general,
                          classify_unramified, ramified_g_map)
 from .curve import (CurvePoint, WeierstrassCurve, normalize_additive,
-                    point_add, point_mul, psi_E0, reduce_point,
-                    reduction_type)
+                    psi_E0, reduce_point, reduction_type)
 from .local_field import LocalField
 from .oracle import FiniteModel, compare, finite_model
 
 __all__ = [
     "ClassificationReport", "GroupStructure", "classify_congruence",
     "classify_general", "classify_unramified", "ramified_g_map",
-    "CurvePoint", "WeierstrassCurve", "normalize_additive", "point_add",
-    "point_mul", "psi_E0", "reduce_point", "reduction_type", "LocalField",
+    "CurvePoint", "WeierstrassCurve", "normalize_additive", "psi_E0",
+    "reduce_point", "reduction_type", "LocalField",
     "FiniteModel", "compare", "finite_model", "__version__",
 ]

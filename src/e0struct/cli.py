@@ -4,17 +4,17 @@ formal-group data, verify points, and run oracle comparisons.
 The a_i and point coordinates go to the curve as written, so
 LocalField.embed_rational alone decides their value and precision.
 
-Exit codes: 0 = success/certified, 2 = exploratory result, 1 = error.
-JSON output is deterministic (sorted keys)."""
+Exit codes: 0 = success/certified, 2 = exploratory result, 1 = error,
+a usage error or unreadable input included.  JSON output is
+deterministic (sorted keys)."""
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import re
 import sys
-
-import click
 
 from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
@@ -109,23 +109,26 @@ def build_point(E: WeierstrassCurve, pt):
 def _read_input(path):
     if path == "-" or path is None:
         return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DescriptorError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _emit(payload, text_lines, as_json):
     if as_json:
-        click.echo(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
-            click.echo(line)
+            print(line)
 
 
 def _fail(message, as_json=False):
     if as_json:
-        click.echo(json.dumps({"error": message}, sort_keys=True))
+        print(json.dumps({"error": message}, sort_keys=True))
     else:
-        click.echo(f"error: {message}", err=True)
+        print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_ERROR)
 
 
@@ -141,16 +144,6 @@ def _error_boundary(command):
     return wrapper
 
 
-@click.group()
-def main():
-    """Z_p-module structure of E_0(K) for additive reduction."""
-
-
-@main.command()
-@click.argument("input", default="-")
-@click.option("--precision", type=int, default=None,
-              help="Working precision (powers of m_K).")
-@click.option("--json", "as_json", is_flag=True, help="JSON output only.")
 @_error_boundary
 def classify(input, precision, as_json):
     """Classify E_0(K) for the descriptor in INPUT (path or '-')."""
@@ -168,10 +161,6 @@ def classify(input, precision, as_json):
     sys.exit(EXIT_OK if report.certified else EXIT_EXPLORATORY)
 
 
-@main.command()
-@click.argument("input", default="-")
-@click.option("--precision", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
 @_error_boundary
 def normalize(input, precision, as_json):
     """Translate the singular point to the origin and kill the tangent
@@ -187,15 +176,6 @@ def normalize(input, precision, as_json):
     _emit(payload, lines, as_json)
 
 
-@main.command("formal-group")
-@click.option("--p", "p", type=int, default=None,
-              help="Also print g = [p](T)/p mod m for a prime p, read "
-                   "from the closed-form table (g = T for p > 7).")
-@click.option("--n-series", type=int, default=2,
-              help="Which multiplication series [n] to print.")
-@click.option("--degree", type=int, default=6,
-              help="Truncation degree for the printed series.")
-@click.option("--json", "as_json", is_flag=True)
 def formal_group(p, n_series, degree, as_json):
     """Print the generic group law F, the series [n], and g."""
     if degree > SYMBOLIC_DEGREE_BOUND:
@@ -226,11 +206,6 @@ def formal_group(p, n_series, degree, as_json):
     _emit(payload, lines, as_json)
 
 
-@main.command("verify-point")
-@click.argument("input", default="-")
-@click.option("--precision", type=int, default=4,
-              help="Precision (powers of m_K) for torsion checks.")
-@click.option("--json", "as_json", is_flag=True)
 @_error_boundary
 def verify_point(input, precision, as_json):
     """Check each descriptor point: on-curve, E_0 membership, filtration
@@ -282,13 +257,17 @@ def _verify_one(E, report, raw, precision, tr=None):
         out["text"] = (f"in E_0, level {level}, infinite order "
                        f"(group is {report.structure})")
         return out
-    order = _torsion_order(E, P, precision)
+    t = psi_E0(E, P)
+    t_mult = functools.cache(
+        lambda j: t_of_multiple(E.a, field.p ** j, t))
+    order = _torsion_order(t_mult, field.p, precision)
     if order is not None and precision < field.M:
         # [p](T) is 0 mod m for every T in m, so a congruence below the
         # descriptor's precision M holds for points of infinite order too:
-        # a torsion label needs the congruence at M
+        # a torsion label needs the congruence at M, which the t([p^j]P)
+        # in hand decide, known as they are to the precision of t(P)
         precision = field.M
-        order = _torsion_order(E, P, precision)
+        order = _torsion_order(t_mult, field.p, precision)
     if order is not None:
         out["order"] = order
         out["text"] = f"in E_0, level {level}, {order}-torsion"
@@ -298,15 +277,13 @@ def _verify_one(E, report, raw, precision, tr=None):
     return out
 
 
-def _torsion_order(E, P, precision):
+def _torsion_order(t_mult, p, precision):
     """p^j for the least j <= 2 with [p^j]P = O mod m^precision, or None.
-    t([p^j]P) comes from the ladder on the point P itself
+    t_mult(j) is t([p^j]P), from the ladder on the point P itself
     (formal_group.t_of_multiple), known to the precision of t(P); a
     value known below m^precision decides nothing and is refused."""
-    p = E.field.p
-    t = psi_E0(E, P)
     for j in (1, 2):
-        tj = t_of_multiple(E.a, p ** j, t)
+        tj = t_mult(j)
         if tj.prec < precision:
             raise PrecisionExhausted(
                 f"t([{p}^{j}]P) known mod m^{tj.prec}; the torsion check "
@@ -317,12 +294,6 @@ def _torsion_order(E, P, precision):
     return None
 
 
-@main.command()
-@click.argument("input", default="-")
-@click.option("-m", "--level", type=int, default=4,
-              help="Quotient level M for the finite model.")
-@click.option("--precision", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
 @_error_boundary
 def oracle(input, level, precision, as_json):
     """Compare the certified classification against the brute-force
@@ -343,6 +314,73 @@ def oracle(input, level, precision, as_json):
              f"kernel {verdict['kernel_size']}: {verdict['verdict']}"]
     _emit(verdict, lines, as_json)
     sys.exit(EXIT_OK if verdict["verdict"] == "pass" else EXIT_ERROR)
+
+
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error to main, which reports it with exit code 1
+    (argparse itself prints the usage and exits with 2, the code of an
+    exploratory result)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _parser(prog):
+    parser = _Parser(prog=prog, allow_abbrev=False, description=(
+        "Z_p-module structure of E_0(K) for additive reduction."))
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                required=True)
+
+    def command(name, run):
+        doc = " ".join(run.__doc__.split())
+        cmd = sub.add_parser(name, help=doc, description=doc,
+                             allow_abbrev=False)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    def reads_input(cmd, precision=None, help=None):
+        cmd.add_argument("input", nargs="?", default="-", metavar="INPUT")
+        cmd.add_argument("--precision", type=int, default=precision,
+                         help=help)
+        return cmd
+
+    reads_input(command("classify", classify),
+                help="Working precision (powers of m_K).")
+    reads_input(command("normalize", normalize))
+    fg = command("formal-group", formal_group)
+    fg.add_argument("--p", type=int, default=None, help=(
+        "Also print g = [p](T)/p mod m for a prime p, read from the "
+        "closed-form table (g = T for p > 7)."))
+    fg.add_argument("--n-series", type=int, default=2,
+                    help="Which multiplication series [n] to print.")
+    fg.add_argument("--degree", type=int, default=6,
+                    help="Truncation degree for the printed series.")
+    reads_input(command("verify-point", verify_point), 4,
+                "Precision (powers of m_K) for torsion checks.")
+    reads_input(command("oracle", oracle)).add_argument(
+        "-m", "--level", type=int, default=4,
+        help="Quotient level M for the finite model.")
+    for cmd in sub.choices.values():
+        cmd.add_argument("--json", dest="as_json", action="store_true",
+                         help="JSON output only.")
+    return parser
+
+
+def main(argv=None, prog_name=None):
+    """Run one subcommand on argv (sys.argv[1:] by default) and exit with
+    its code, through SystemExit."""
+    try:
+        args = vars(_parser(prog_name or "e0struct").parse_args(argv))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_ERROR)
+    del args["command"]
+    args.pop("run")(**args)
+    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

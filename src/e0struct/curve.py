@@ -1,6 +1,6 @@
 """Weierstrass models over O_K: invariants, reduction types, the
-normalization of Lemma-3.1 type (all a_i into m_K), the chord-tangent
-group law over K, the filtration, and the maps psi / reduction.
+normalization of Lemma-3.1 type (all a_i into m_K), the filtration,
+and the maps psi / reduction.
 The a_i (integral) and point coordinates are elements or anything
 LocalField.embed_rational reads: a rational or a coefficient vector."""
 
@@ -36,21 +36,26 @@ class WeierstrassCurve:
     def __init__(self, field: LocalField, a1, a2, a3, a4, a6):
         self.field = field
         self.a = tuple(_embed(field, v) for v in (a1, a2, a3, a4, a6))
+        self._reduction = None  # reduction_type, computed once
         a1, a2, a3, a4, a6 = self.a
-        self.b2 = a1 * a1 + 4 * a2
-        self.b4 = 2 * a4 + a1 * a3
-        self.b6 = a3 * a3 + 4 * a6
-        self.b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4
-                   + a2 * a3 * a3 - a4 * a4)
-        self.c4 = self.b2 * self.b2 - 24 * self.b4
-        self.c6 = (-self.b2 * self.b2 * self.b2 + 36 * self.b2 * self.b4
-                   - 216 * self.b6)
-        self.disc = (-self.b2 * self.b2 * self.b8 - 8 * self.b4 ** 3
-                     - 27 * self.b6 * self.b6 + 9 * self.b2 * self.b4 * self.b6)
+        # each shared product once, in the left-associated order of the
+        # textbook formulas, so every precision is theirs (x**3 is
+        # x * (x * x), as residue_field.power computes it)
+        a11, a13 = a1 * a1, a1 * a3
+        self.b2 = b2 = a11 + 4 * a2
+        self.b4 = b4 = 2 * a4 + a13
+        self.b6 = b6 = a3 * a3 + 4 * a6
+        self.b8 = b8 = (a11 * a6 + 4 * a2 * a6 - a13 * a4
+                        + a2 * a3 * a3 - a4 * a4)
+        b22, b44 = b2 * b2, b4 * b4
+        self.c4 = c4 = b22 - 24 * b4
+        self.c6 = c6 = -b22 * b2 + 36 * b2 * b4 - 216 * b6
+        self.disc = (-b22 * b8 - 8 * (b4 * b44)
+                     - 27 * b6 * b6 + 9 * b2 * b4 * b6)
         if self.disc.is_zero_at_precision():
             raise PrecisionExhausted("zero-discriminant-at-precision")
-        assert 4 * self.b8 == self.b2 * self.b6 - self.b4 * self.b4
-        assert 1728 * self.disc == self.c4 ** 3 - self.c6 * self.c6
+        assert 4 * b8 == b2 * b6 - b44
+        assert 1728 * self.disc == c4 * (c4 * c4) - c6 * c6
 
     @property
     def a1(self):
@@ -165,13 +170,20 @@ class ReductionType:
 
 
 def reduction_type(E: WeierstrassCurve) -> ReductionType:
-    """Classify the special fiber of THIS model (no minimality search).
+    """Classify the special fiber of THIS model (no minimality search),
+    once per curve.
 
     The singular point and its tangent directions are closed forms in the
     reduced coefficients (Silverman, Advanced Topics IV.9; Cremona,
     Algorithms for Modular Elliptic Curves 3.2): the fiber is nodal iff
     c4bar != 0, and at (x0, y0) the tangent directions are the roots of
     z^2 + a1 z - (a2 + 3 x0), of discriminant b2 + 12 x0 for odd p."""
+    if E._reduction is None:
+        E._reduction = _reduction_type(E)
+    return E._reduction
+
+
+def _reduction_type(E):
     vd = E.disc.valuation_or_none()
     if vd == 0:
         return ReductionType("good")
@@ -232,6 +244,7 @@ class Transform:
     def apply(self, E: WeierstrassCurve) -> WeierstrassCurve:
         a1, a2, a3, a4, a6 = E.a
         r, s, t = self.r, self.s, self.t
+        rr = r * r
         return WeierstrassCurve(
             E.field,
             a1 + 2 * s,
@@ -239,7 +252,7 @@ class Transform:
             a3 + r * a1 + 2 * t,
             a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
             - 2 * s * t,
-            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1,
+            a6 + r * a4 + rr * a2 + r * rr - t * a3 - t * t - r * t * a1,
         )
 
     def to_json(self):
@@ -249,71 +262,24 @@ class Transform:
 
 def normalize_additive(E: WeierstrassCurve):
     """Move the cusp to the origin and its tangent to Y = 0, producing a
-    model with all a_i in m_K.  Returns (new curve, transform)."""
+    model with all a_i in m_K.  Returns (new curve, transform).
+
+    X = X' + r, Y = Y' + t with (r, t) the cusp gives a'_1 = a1 and
+    a'_2 = a2 + 3r; the tangent's slope s is then the double root of
+    z^2 + a'_1 z - a'_2 mod m, and the one change (r, s, t) does both."""
     rt = reduction_type(E)
     if rt.tag != "additive":
         raise ValueError(f"reduction type: {rt.tag}; additive required")
+    f = E.field
     x0, y0 = rt.singular_point
-    r = E.field.element(x0.coeffs)
-    t = E.field.element(y0.coeffs)
-    tr1 = Transform(E.field, r, 0, t)
-    E1 = tr1.apply(E)
-    # tangent direction: the double root of z^2 + a1bar z - a2bar
-    a1b = E1.a1.reduce()
-    a2b = E1.a2.reduce()
-    z0 = frobenius_inverse(a2b) if E.field.p == 2 else -a1b / 2
-    if not z0:
-        E2, tr = E1, tr1
-    else:
-        tr2 = Transform(E.field, 0, E.field.element(z0.coeffs), 0)
-        E2 = tr2.apply(E1)
-        tr = Transform(E.field, tr1.r, tr2.s, tr1.t)
+    r = f.element(x0.coeffs)
+    a1b = E.a1.reduce()
+    a2b = (E.a2 + 3 * r).reduce()
+    z0 = frobenius_inverse(a2b) if f.p == 2 else -a1b / 2
+    tr = Transform(f, r, f.element(z0.coeffs), f.element(y0.coeffs))
+    E2 = tr.apply(E)
     assert E2.is_normalized()
     return E2, tr
-
-
-# -- group law over K -------------------------------------------------------
-
-def point_neg(E: WeierstrassCurve, P: CurvePoint) -> CurvePoint:
-    if P.is_infinity:
-        return P
-    return CurvePoint(P.x, -P.y - E.a1 * P.x - E.a3)
-
-
-def point_add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    a1, a2, a3, a4, a6 = E.a
-    x1, y1 = P.x, P.y
-    x2, y2 = Q.x, Q.y
-    if x1 == x2:
-        if y2 == -y1 - a1 * x1 - a3:
-            return INFINITY
-        num = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1
-        den = 2 * y1 + a1 * x1 + a3
-        lam = num / den
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    return CurvePoint(x3, y3)
-
-
-def point_mul(E: WeierstrassCurve, m: int, P: CurvePoint) -> CurvePoint:
-    if m < 0:
-        return point_mul(E, -m, point_neg(E, P))
-    result = INFINITY
-    base = P
-    while m:
-        if m & 1:
-            result = point_add(E, result, base)
-        m >>= 1
-        if m:
-            base = point_add(E, base, base)
-    return result
 
 
 # -- reduction and filtration ----------------------------------------------

@@ -232,9 +232,9 @@ class LocalField:
         OElement: the raw integer products are added up and reduced
         modulo the defining polynomial once, and the precision is the
         least product_prec over the pairs, as a fold of OElement products
-        would give when no partial sum cancels.  An int meets an OElement
-        known to max(its prec, M), as OElement._coerce makes it; a sum of
-        int products alone stays an int."""
+        would give when no partial sum cancels.  An int product has
+        OElement * int's precision (int_product_prec); a sum of int
+        products alone stays an int."""
         acc = [0] * (2 * self.deg - 1)
         prec = None
         exact = 0
@@ -245,9 +245,7 @@ class LocalField:
                     continue
                 a, b = b, a
             if type(b) is int:
-                pb = max(a.prec, self.M)
-                q = product_prec(a.prec, a._vmin(),
-                                 pb, min(self.e * _vp(b, self.p), pb))
+                q = self.int_product_prec(a, b)
                 for i, x in enumerate(a.coeffs):
                     acc[i] += b * x
             else:
@@ -259,6 +257,13 @@ class LocalField:
             return exact
         acc[0] += exact
         return OElement(self, self._reduce_poly(acc), prec)
+
+    def int_product_prec(self, x, k):
+        """Known precision of x * k for an OElement x and an int k: k is
+        known mod m_K^max(x.prec, M), with valuation min(e*v_p(k), that)."""
+        pk = max(x.prec, self.M)
+        return product_prec(x.prec, x._vmin(),
+                            pk, min(self.e * _vp(k, self.p), pk))
 
     # -- reduction of polynomial representatives ---------------------------
 
@@ -296,7 +301,7 @@ class OElement:
         self.field = field
         self.prec = prec
         self.coeffs = tuple(
-            c % m for c, m in zip(coeffs, field.coeff_moduli(prec)))
+            [c % m for c, m in zip(coeffs, field.coeff_moduli(prec))])
         self._v = -1  # min(valuation, prec), filled in by _vmin
 
     # -- inspection ---------------------------------------------------------
@@ -352,16 +357,25 @@ class OElement:
 
     # -- ring operations ----------------------------------------------------
 
+    # An int operand never becomes an OElement: it is known mod
+    # m_K^max(prec, M), so a sum or difference keeps self.prec, and a
+    # product has LocalField.int_product_prec.
+
     def _coerce(self, other):
         if isinstance(other, OElement):
             return other if other.field is self.field or other.field == self.field else None
-        if isinstance(other, int):
-            return self.field.element([other], prec=max(self.prec, self.field.M))
         if isinstance(other, Fraction):
             return self.field.embed_integral_rational(other, prec=max(self.prec, self.field.M))
         return None
 
+    def _plus_int(self, coeffs, k):
+        c = list(coeffs)
+        c[0] += k
+        return OElement(self.field, c, self.prec)
+
     def __add__(self, other):
+        if isinstance(other, int):
+            return self._plus_int(self.coeffs, other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -375,19 +389,29 @@ class OElement:
         return OElement(self.field, [-a for a in self.coeffs], self.prec)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self._plus_int(self.coeffs, -other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return OElement(self.field,
+                        [a - b for a, b in zip(self.coeffs, o.coeffs)],
+                        min(self.prec, o.prec))
 
     def __rsub__(self, other):
+        if isinstance(other, int):
+            return self._plus_int([-a for a in self.coeffs], other)
         return (-self) + other
 
     def __mul__(self, other):
+        f = self.field
+        if isinstance(other, int):
+            return OElement(f, [other * a for a in self.coeffs],
+                            f.int_product_prec(self, other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return OElement(self.field, self.field._times(self.coeffs, o.coeffs),
+        return OElement(f, f._times(self.coeffs, o.coeffs),
                         product_prec(self.prec, self._vmin(),
                                      o.prec, o._vmin()))
 
@@ -419,13 +443,17 @@ class OElement:
             raise NotInvertible(f"0 mod m^{self.prec} is not invertible")
         if not self.is_unit():
             raise NotInvertible("non-unit of O_K; invert via KElement")
-        z = f.element(self.reduce().inverse().coeffs, prec=self.prec)
-        # quadratic convergence: precision doubles each step
+        mods = f.coeff_moduli(self.prec)
+        z = list(self.reduce().inverse().coeffs)
+        z += [0] * (f.deg - len(z))
+        # quadratic convergence: precision doubles each step; every
+        # product is a unit known mod m^prec, so each step reduces there
         steps = max(1, math.ceil(math.log2(max(2, self.prec))) + 1)
-        two = f.element([2], prec=self.prec)
         for _ in range(steps):
-            z = z * (two - self * z)
-        return OElement(f, z.coeffs, self.prec)
+            r = [-c for c in f._times(self.coeffs, z)]
+            r[0] += 2
+            z = [c % m for c, m in zip(f._times(z, r), mods)]
+        return OElement(f, z, self.prec)
 
     def shift_down(self, k: int) -> "OElement":
         """Exact division by the k-th power of the uniformizer:

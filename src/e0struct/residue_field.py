@@ -82,23 +82,41 @@ def _poly_powmod(a, k, f, p):
     return result
 
 
+def _poly_divmod(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b over F_p, b nonzero."""
+    r = _poly_trim([c % p for c in a])
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        c = (r[-1] * inv) % p
+        shift = len(r) - len(b)
+        q[shift] = c
+        for j in range(len(b)):
+            r[shift + j] = (r[shift + j] - c * b[j]) % p
+        r = _poly_trim(r)
+    return q, r
+
+
 def _poly_gcd(a, b, p):
     a, b = _poly_trim([c % p for c in a]), _poly_trim([c % p for c in b])
     while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b):
-            if not (r := _poly_trim(r)):
-                break
-            if len(r) < len(b):
-                break
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for j in range(len(b)):
-                r[shift + j] = (r[shift + j] - c * b[j]) % p
-            r = _poly_trim(r)
-        a, b = b, _poly_trim(r)
+        a, b = b, _poly_divmod(a, b, p)[1]
     return a
+
+
+def _poly_invmod(a, f, p):
+    """a^-1 mod f over F_p by the extended Euclidean algorithm, for an
+    irreducible f and a nonzero a of lower degree: each remainder r_i is
+    s_i * a mod f, and the last nonzero one is a unit."""
+    r0, r1 = list(f), _poly_trim([c % p for c in a])
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1, p)
+        s = [(x - y) % p for x, y in itertools.zip_longest(
+            s0, _poly_mulmod(q, s1, f, p), fillvalue=0)]
+        r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
 
 
 def _is_irreducible(modulus, p):
@@ -271,7 +289,8 @@ class FFElement:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self ** (self.parent.order - 2)
+        k = self.parent
+        return k.element(_poly_invmod(self.coeffs, k.modulus, k.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -1,6 +1,11 @@
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
-from e0struct.curve import WeierstrassCurve
+from e0struct.cli import main
+from e0struct.curve import INFINITY, CurvePoint, WeierstrassCurve
 from e0struct.local_field import LocalField, PrecisionExhausted
 from e0struct.series import WPoly, key_weight
 
@@ -23,6 +28,82 @@ def random_normalized_curve(field, rng, span=6):
             return WeierstrassCurve(field, *avals)
         except PrecisionExhausted:
             continue
+
+
+class CliResult:
+    """What one `e0struct` command left: its exit code, its two output
+    streams, and the SystemExit that ended it."""
+
+    def __init__(self, exit_code, stdout, stderr, exception):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.exception = exception
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
+def run_cli(argv, input=None):
+    """cli.main(argv) in this process, with `input` as standard input."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(input or "")
+    exception, code = None, 0
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            main(argv)
+    except SystemExit as exc:
+        exception, code = exc, exc.code or 0
+    finally:
+        sys.stdin = stdin
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)
+
+
+# -- the affine chord-tangent law over K ------------------------------------
+# The independent reference for formal_group's ladder: src/ computes every
+# multiple of a point on the ladder alone.
+
+def point_neg(E: WeierstrassCurve, P: CurvePoint) -> CurvePoint:
+    if P.is_infinity:
+        return P
+    return CurvePoint(P.x, -P.y - E.a1 * P.x - E.a3)
+
+
+def point_add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    a1, a2, a3, a4, a6 = E.a
+    x1, y1 = P.x, P.y
+    x2, y2 = Q.x, Q.y
+    if x1 == x2:
+        if y2 == -y1 - a1 * x1 - a3:
+            return INFINITY
+        num = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1
+        den = 2 * y1 + a1 * x1 + a3
+        lam = num / den
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    return CurvePoint(x3, y3)
+
+
+def point_mul(E: WeierstrassCurve, m: int, P: CurvePoint) -> CurvePoint:
+    if m < 0:
+        return point_mul(E, -m, point_neg(E, P))
+    result = INFINITY
+    base = P
+    while m:
+        if m & 1:
+            result = point_add(E, result, base)
+        m >>= 1
+        if m:
+            base = point_add(E, base, base)
+    return result
 
 
 # -- structure of WPoly coefficients --------------------------------------

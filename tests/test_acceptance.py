@@ -11,7 +11,7 @@ import pytest
 
 from e0struct.classifier import (classify_congruence, classify_general,
                                  classify_unramified)
-from e0struct.curve import (INFINITY, point_mul, reduce_point)
+from e0struct.curve import INFINITY, reduce_point
 from e0struct.formal_group import formal_sum, generic_mult_by_n
 from e0struct.local_field import LocalField
 from e0struct.oracle import compare
@@ -19,7 +19,7 @@ from e0struct.residue_field import AdditivePoly, FiniteField, additive_poly_root
 from e0struct.series import GENERIC_A, Series
 
 from conftest import (FIXTURE_COEFFS, divisible_by_int,
-                      is_homogeneous_of_weight, make_curve,
+                      is_homogeneous_of_weight, make_curve, point_mul,
                       random_normalized_curve)
 
 

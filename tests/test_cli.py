@@ -1,20 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from e0struct.cli import main
 from e0struct.curve import Transform
 from e0struct.local_field import LocalField
 
-from conftest import make_curve
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from conftest import make_curve, run_cli
 
 
 def write_desc(tmp_path, desc, name="curve.json"):
@@ -31,15 +28,15 @@ RAM_DESC = {"p": 2, "field": {"kind": "eisenstein", "poly": [-2, 0, 1]},
             "a": [0, 0, 2, 0, -2], "precision": 12}
 
 
-def test_classify_text(runner, tmp_path):
-    res = runner.invoke(main, ["classify", write_desc(tmp_path, E5_DESC)])
+def test_classify_text(tmp_path):
+    res = run_cli(["classify", write_desc(tmp_path, E5_DESC)])
     assert res.exit_code == 0
     assert res.output == "Z_5 x Z/5Z, method: corollary-iii, certified\n"
 
 
-def test_classify_json_deterministic(runner, tmp_path):
+def test_classify_json_deterministic(tmp_path):
     path = write_desc(tmp_path, E5_DESC)
-    outputs = {runner.invoke(main, ["classify", path, "--json"]).output
+    outputs = {run_cli(["classify", path, "--json"]).output
                for _ in range(3)}
     assert len(outputs) == 1
     payload = json.loads(outputs.pop())
@@ -48,51 +45,51 @@ def test_classify_json_deterministic(runner, tmp_path):
     assert payload["certified"] is True
 
 
-def test_classify_stdin(runner):
-    res = runner.invoke(main, ["classify", "-"], input=json.dumps(E5_DESC))
+def test_classify_stdin():
+    res = run_cli(["classify", "-"], input=json.dumps(E5_DESC))
     assert res.exit_code == 0
     assert res.output.startswith("Z_5 x Z/5Z")
 
 
-def test_classify_exploratory_exit_code(runner, tmp_path):
-    res = runner.invoke(main, ["classify", write_desc(tmp_path, RAM_DESC)])
+def test_classify_exploratory_exit_code(tmp_path):
+    res = run_cli(["classify", write_desc(tmp_path, RAM_DESC)])
     assert res.exit_code == 2
     assert "ramified-exploratory, exploratory" in res.output
 
 
-def test_classify_rejects_multiplicative(runner, tmp_path):
+def test_classify_rejects_multiplicative(tmp_path):
     desc = {"p": 5, "field": {"kind": "unramified", "n": 1},
             "a": [0, 1, 0, 0, 5], "precision": 12}
-    res = runner.invoke(main, ["classify", write_desc(tmp_path, desc)])
+    res = run_cli(["classify", write_desc(tmp_path, desc)])
     assert res.exit_code == 1
     assert "reduction type: multiplicative (additive required)" in res.stderr
 
 
-def test_classify_schema_error(runner, tmp_path):
+def test_classify_schema_error(tmp_path):
     desc = {"p": 5, "field": {"kind": "unramified", "n": 1},
             "a": [0, 0, 0, 0], "precision": 12}
-    res = runner.invoke(main, ["classify", write_desc(tmp_path, desc)])
+    res = run_cli(["classify", write_desc(tmp_path, desc)])
     assert res.exit_code == 1
     assert "descriptor schema" in res.stderr
 
 
-def test_classify_nonprime_p(runner, tmp_path):
+def test_classify_nonprime_p(tmp_path):
     desc = {"p": 4, "field": {"kind": "unramified", "n": 1},
             "a": [0, 0, 0, 0, 4], "precision": 12}
-    res = runner.invoke(main, ["classify", write_desc(tmp_path, desc)])
+    res = run_cli(["classify", write_desc(tmp_path, desc)])
     assert res.exit_code == 1
     assert "not prime" in res.stderr
 
 
-def test_normalize(runner, tmp_path):
-    res = runner.invoke(main, ["normalize", write_desc(tmp_path, E5_DESC)])
+def test_normalize(tmp_path):
+    res = run_cli(["normalize", write_desc(tmp_path, E5_DESC)])
     assert res.exit_code == 0
     assert res.output.startswith("normalized a-invariants")
     assert "transform (r, s, t):" in res.output
 
 
-def test_formal_group_command(runner):
-    res = runner.invoke(main, ["formal-group", "--p", "5", "--n-series", "5"])
+def test_formal_group_command():
+    res = run_cli(["formal-group", "--p", "5", "--n-series", "5"])
     assert res.exit_code == 0
     lines = res.output.splitlines()
     assert lines[0].startswith(
@@ -108,71 +105,70 @@ def test_formal_group_command(runner):
     (7, "g = T - (4*a6/7)~ * T^7"),
     (11, "g = T (no torsion contribution for p > 7)"),
 ], ids=["p2", "p3", "p5", "p7", "p11"])
-def test_formal_group_g_line(runner, p, line):
+def test_formal_group_g_line(p, line):
     # the output of the generic [p] route this table replaced
-    res = runner.invoke(main, ["formal-group", "--p", str(p)])
+    res = run_cli(["formal-group", "--p", str(p)])
     assert res.exit_code == 0
     assert res.output.splitlines()[-1] == line
-    res = runner.invoke(main, ["formal-group", "--p", str(p), "--json"])
+    res = run_cli(["formal-group", "--p", str(p), "--json"])
     assert json.loads(res.output)["g"] == ("T" if p > 7 else line[4:])
 
 
 @pytest.mark.parametrize("n", [1, 3])
-def test_formal_group_degree_0(runner, n):
+def test_formal_group_degree_0(n):
     # [DERIVED] to degree 0, F and every [n](T) are the zero series
-    res = runner.invoke(main, ["formal-group", "--n-series", str(n),
-                               "--degree", "0"])
+    res = run_cli(["formal-group", "--n-series", str(n),
+                   "--degree", "0"])
     assert res.exit_code == 0
     assert res.output == (f"F(X, Y) = 0 + O(deg 1)\n"
                           f"[{n}](T) = 0 + O(T^1)\n")
-    res = runner.invoke(main, ["formal-group", "--n-series", str(n),
-                               "--degree", "0", "--json"])
+    res = run_cli(["formal-group", "--n-series", str(n),
+                   "--degree", "0", "--json"])
     assert json.loads(res.output) == {"F": "0",
                                       "mult": {"n": n, "series": "0"}}
 
 
-def test_formal_group_degree_cap(runner):
-    res = runner.invoke(main, ["formal-group", "--p", "3", "--degree", "99"])
+def test_formal_group_degree_cap():
+    res = run_cli(["formal-group", "--p", "3", "--degree", "99"])
     assert res.exit_code == 1
 
 
-def test_verify_point(runner, tmp_path):
+def test_verify_point(tmp_path):
     desc = dict(E2_DESC, points=[{"x": 1, "y": -1}, "infinity"])
-    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc)])
+    res = run_cli(["verify-point", write_desc(tmp_path, desc)])
     assert res.exit_code == 0
     assert res.output == "in E_0, level 0, 2-torsion\ninfinity: identity\n"
 
 
-def test_verify_point_infinite_order(runner, tmp_path):
+def test_verify_point_infinite_order(tmp_path):
     desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
             "a": [0, 0, 0, 0, -2], "precision": 12,
             "points": [{"x": 3, "y": 5}]}
-    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc)])
+    res = run_cli(["verify-point", write_desc(tmp_path, desc)])
     assert res.exit_code == 0
     assert res.output == "in E_0, level 0, infinite order (group is Z_2)\n"
 
 
-def test_verify_point_certified_torsion_free_at_precision_1(runner, tmp_path):
+def test_verify_point_certified_torsion_free_at_precision_1(tmp_path):
     # the group Z_2 is certified torsion-free, so the [2^j] congruences
     # mod m^1 (which every point of E_1 satisfies) are not read
     desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
             "a": [0, 0, 0, 0, -2], "precision": 12,
             "points": [{"x": 3, "y": 5}]}
-    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc),
-                               "--precision", "1"])
+    res = run_cli(["verify-point", write_desc(tmp_path, desc),
+                   "--precision", "1"])
     assert res.exit_code == 0
     assert res.output == "in E_0, level 0, infinite order (group is Z_2)\n"
 
 
 @pytest.mark.parametrize("precision", ["1", "2"])
-def test_verify_point_low_precision_congruence_is_not_torsion(
-        runner, tmp_path, precision):
+def test_verify_point_low_precision_congruence_is_not_torsion(tmp_path, precision):
     # (-11, 38) on E5 has infinite order, but [5](T) = 0 mod m for every
     # T in m, so [5^j]P = O holds mod m^1 and m^2; the label needs the
     # congruence at the descriptor's precision 12, where it fails
     desc = dict(E5_DESC, points=[{"x": -11, "y": 38}])
-    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc),
-                               "--precision", precision])
+    res = run_cli(["verify-point", write_desc(tmp_path, desc),
+                   "--precision", precision])
     assert res.exit_code == 0
     assert res.output == ("in E_0, level 0, not p^j-torsion for j <= 2 "
                           "(mod m^12)\n")
@@ -195,13 +191,13 @@ def _times_over_q(a, n, P):
     return x, y
 
 
-def test_verify_point_in_E1(runner):
+def test_verify_point_in_E1():
     # [DERIVED] 5(-11, 38) on E5 has v_5(x) = -4, so it lies in E_2 and
     # its coordinates are not integral; like (-11, 38) it has infinite
     # order
     x, y = _times_over_q(E5_DESC["a"], 5, (-11, 38))
     desc = dict(E5_DESC, points=[{"x": str(x), "y": str(y)}])
-    res = runner.invoke(main, ["verify-point", "-"], input=json.dumps(desc))
+    res = run_cli(["verify-point", "-"], input=json.dumps(desc))
     assert res.exit_code == 0
     assert res.output == ("in E_0, level 2, not p^j-torsion for j <= 2 "
                           "(mod m^12)\n")
@@ -210,75 +206,72 @@ def test_verify_point_in_E1(runner):
 @pytest.mark.parametrize("a", [[0, 0, 2, 0, -2], [28, 14, 26, 14, 28]],
                          ids=["E2", "28-14-26-14-28"])
 @pytest.mark.parametrize("precision", [1, 2])
-def test_equal_integers_give_equal_answers(runner, a, precision):
+def test_equal_integers_give_equal_answers(a, precision):
     # [DERIVED] an integer c is one value whether it is written c, "c/1",
     # [c] or [c, 0], so it is known to the same precision each way
     outs = set()
     for spell in (lambda c: c, lambda c: f"{c}/1", lambda c: [c],
                   lambda c: [c, 0]):
         desc = dict(E2_DESC, a=[spell(c) for c in a], precision=precision)
-        res = runner.invoke(main, ["classify", "--json", "-"],
-                            input=json.dumps(desc))
+        res = run_cli(["classify", "--json", "-"], input=json.dumps(desc))
         outs.add((res.exit_code, res.output))
     assert len(outs) == 1
 
 
-def test_verify_point_singular(runner, tmp_path):
+def test_verify_point_singular(tmp_path):
     desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
             "a": [0, -6, 0, 8, 0], "precision": 12,
             "points": [{"x": 0, "y": 0}]}
-    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc)])
+    res = run_cli(["verify-point", write_desc(tmp_path, desc)])
     assert res.exit_code == 0
     assert res.output == "not in E_0 (reduces to singular point)\n"
 
 
-def test_verify_point_off_curve(runner, tmp_path):
+def test_verify_point_off_curve(tmp_path):
     desc = dict(E2_DESC, points=[{"x": 1, "y": 1}])
-    res = runner.invoke(main, ["verify-point", write_desc(tmp_path, desc)])
+    res = run_cli(["verify-point", write_desc(tmp_path, desc)])
     assert res.exit_code == 1
     assert "not on curve" in res.stderr
 
 
-def test_oracle_command(runner, tmp_path):
-    res = runner.invoke(
-        main, ["oracle", write_desc(tmp_path, E5_DESC), "-m", "3"])
+def test_oracle_command(tmp_path):
+    res = run_cli(["oracle", write_desc(tmp_path, E5_DESC), "-m", "3"])
     assert res.exit_code == 0
     assert res.output == "order 125, p_rank 2, kernel 25: pass\n"
 
 
-def test_oracle_json(runner, tmp_path):
-    res = runner.invoke(
-        main, ["oracle", write_desc(tmp_path, E2_DESC), "-m", "4", "--json"])
+def test_oracle_json(tmp_path):
+    res = run_cli(["oracle", write_desc(tmp_path, E2_DESC), "-m", "4", "--json"])
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["verdict"] == "pass"
     assert payload["order"] == 16 and payload["kernel_size"] == 4
 
 
-def test_rational_string_coefficients(runner, tmp_path):
+def test_rational_string_coefficients(tmp_path):
     # "n/d" strings and coefficient vectors are accepted
     desc = {"p": 5, "field": {"kind": "unramified", "n": 1},
             "a": ["0", "100/5", "-5", "-15", 0], "precision": 12}
-    res = runner.invoke(main, ["classify", write_desc(tmp_path, desc)])
+    res = run_cli(["classify", write_desc(tmp_path, desc)])
     assert res.exit_code == 0
     assert res.output.startswith("Z_5 x Z/5Z")
 
 
 @pytest.mark.parametrize("field", [{"kind": "unramified", "n": 2},
                                    {"kind": "eisenstein", "poly": [-5, 0, 1]}])
-def test_coefficient_vector_entries_are_p_integral(runner, field):
+def test_coefficient_vector_entries_are_p_integral(field):
     # [DERIVED] a vector entry is accepted exactly when it is p-integral,
     # the same rule over both kinds: a vector [c, 0] builds the same
     # curve as the scalar c, and a denominator divisible by p is refused
     scalars = {"p": 5, "field": field, "a": [0, "40/2", "-5/3", "-15/4", 0],
                "precision": 12}
     vectors = dict(scalars, a=[[c, 0] for c in scalars["a"]])
-    outs = [runner.invoke(main, ["normalize", "--json", "-"],
-                          input=json.dumps(desc)) for desc in (scalars, vectors)]
+    outs = [run_cli(["normalize", "--json", "-"], input=json.dumps(desc))
+            for desc in (scalars, vectors)]
     assert [r.exit_code for r in outs] == [0, 0]
     assert outs[1].output == outs[0].output
     bad = dict(vectors, a=[[0], ["1/5", 0], [5], [5], [5]])
-    res = runner.invoke(main, ["classify", "-"], input=json.dumps(bad))
+    res = run_cli(["classify", "-"], input=json.dumps(bad))
     assert res.exit_code == 1
     assert res.stderr == "error: coefficient 1/5 in vector is not p-integral\n"
 
@@ -317,11 +310,11 @@ POINT_DESC = dict(E5_DESC, points=[{"x": 1, "y": 1}])
         "a4", "a6", "rational", "empty-vector", "precision0", "point-no-y",
         "point-string", "extra-top-key", "extra-field-key", "extra-point-key",
         "eisenstein-no-poly"])
-def test_descriptor_rule_is_enforced(runner, edit):
+def test_descriptor_rule_is_enforced(edit):
     # [DERIVED] every broken rule ends in a message and exit code 1
     desc = json.dumps(dict(POINT_DESC, **edit))
     for argv in (["classify"], ["oracle", "-m", "2"], ["verify-point"]):
-        res = runner.invoke(main, argv + ["-"], input=desc)
+        res = run_cli(argv + ["-"], input=desc)
         assert res.exit_code == 1
         assert "descriptor schema: " in res.stderr
         assert "Traceback" not in res.output
@@ -333,10 +326,9 @@ def test_descriptor_rule_is_enforced(runner, edit):
     (dict(E2_DESC, field={"kind": "unramified", "n": 3}),
      "order 64, p_rank 4, kernel 16: pass\n"),
 ], ids=["F_27", "F_8"])
-def test_oracle_command_cubic_residue_field(runner, desc, expected):
+def test_oracle_command_cubic_residue_field(desc, expected):
     # the oracle's ring product reduces by a defining polynomial of degree 3
-    res = runner.invoke(main, ["oracle", "-", "-m", "2"],
-                        input=json.dumps(desc))
+    res = run_cli(["oracle", "-", "-m", "2"], input=json.dumps(desc))
     assert res.exit_code == 0
     assert res.output == expected
 
@@ -345,14 +337,14 @@ E7_F49_M1 = {"p": 7, "field": {"kind": "unramified", "n": 2},
              "a": [7, 0, -28, 7, -35], "precision": 1}
 
 
-def test_classify_E7_over_F49_at_precision_1(runner):
+def test_classify_E7_over_F49_at_precision_1():
     # g reads a6 = -35, which is known mod 49 even at precision 1
-    res = runner.invoke(main, ["classify", "-"], input=json.dumps(E7_F49_M1))
+    res = run_cli(["classify", "-"], input=json.dumps(E7_F49_M1))
     assert res.exit_code == 0
     assert res.output == "Z_7^2 x Z/7Z, method: theorem-unramified, certified\n"
 
 
-def test_internal_inconsistency_is_a_clean_error(runner, monkeypatch):
+def test_internal_inconsistency_is_a_clean_error(monkeypatch):
     # a kernel dimension the norm criterion rules out raises
     # InternalInconsistency, an AssertionError, which ends as exit 1
     import e0struct.classifier as classifier
@@ -360,7 +352,7 @@ def test_internal_inconsistency_is_a_clean_error(runner, monkeypatch):
     monkeypatch.setattr(classifier, "additive_poly_roots",
                         lambda g: (2, []))
     desc = dict(E7_F49_M1, precision=12)
-    res = runner.invoke(main, ["classify", "-"], input=json.dumps(desc))
+    res = run_cli(["classify", "-"], input=json.dumps(desc))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: norm criterion (True) disagrees "
@@ -374,10 +366,10 @@ def test_internal_inconsistency_is_a_clean_error(runner, monkeypatch):
       "a": [1087] * 5, "precision": 4},
      "error: "),
 ], ids=["oracle-p1087-M1"])
-def test_internal_failure_is_a_clean_error(runner, argv, desc, message):
+def test_internal_failure_is_a_clean_error(argv, desc, message):
     # the p = 1087 model is refused because its worst-case intermediate
     # exceeds int64
-    res = runner.invoke(main, argv, input=json.dumps(desc))
+    res = run_cli(argv, input=json.dumps(desc))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith(message)
@@ -396,9 +388,9 @@ def test_internal_failure_is_a_clean_error(runner, argv, desc, message):
      "--precision must be >= 1"),
 ], ids=["oracle-m0", "oracle-m-1", "p4", "p9", "p1", "p-3", "degree-1",
         "verify-precision0"])
-def test_out_of_range_option_is_an_error(runner, argv, message):
+def test_out_of_range_option_is_an_error(argv, message):
     desc = dict(E2_DESC, points=[{"x": 1, "y": -1}])
-    res = runner.invoke(main, argv, input=json.dumps(desc))
+    res = run_cli(argv, input=json.dumps(desc))
     assert res.exit_code == 1
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
@@ -419,12 +411,74 @@ def _unnormalized(p, n, a, rst):
     (_unnormalized(11, 3, (11, 22, 11, 33, 11),
                    ([1, 2, 3], [4, 5, 6], [7, 8, 9])), "Z_11^3"),
 ], ids=["Q_1009", "F_1331"])
-def test_classify_unnormalized_large_residue_field(runner, desc, expected):
+def test_classify_unnormalized_large_residue_field(desc, expected):
     # both take the 6e < p - 1 path, so the time is the special-fibre
     # geometry of a model that must be normalized first
     t0 = time.perf_counter()
-    res = runner.invoke(main, ["classify", "-"], input=json.dumps(desc))
+    res = run_cli(["classify", "-"], input=json.dumps(desc))
     elapsed = time.perf_counter() - t0
     assert res.exit_code == 0
     assert res.output == f"{expected}, method: 6e<p-1, certified\n"
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("desc, precision, ladders, text", [
+    (dict(E2_DESC, points=[{"x": 1, "y": -1}]), "4", [2],
+     "in E_0, level 0, 2-torsion\n"),
+    (dict(E5_DESC, points=[{"x": -11, "y": 38}]), "1", [5, 25],
+     "in E_0, level 0, not p^j-torsion for j <= 2 (mod m^12)\n"),
+], ids=["E2-torsion", "E5-infinite"])
+def test_verify_point_runs_each_ladder_once(desc, precision, ladders, text,
+                                            monkeypatch):
+    # [DERIVED] a low-precision hit is checked again at the descriptor's
+    # M from the t([p^j]P) in hand, known to the precision of t(P): no
+    # ladder runs twice
+    import e0struct.cli as cli
+
+    calls = []
+    ladder = cli.t_of_multiple
+    monkeypatch.setattr(cli, "t_of_multiple",
+                        lambda a, n, t: calls.append(n) or ladder(a, n, t))
+    res = run_cli(["verify-point", "--precision", precision, "-"],
+                  input=json.dumps(desc))
+    assert (res.exit_code, res.output) == (0, text)
+    assert calls == ladders
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--bogus"], ["classify", "--precision", "abc"], ["bogus"],
+    [], ["classify", "/nonexistent.json"], ["classify", "{directory}"],
+    ["classify", "-", "extra"], ["oracle", "-m"],
+], ids=["unknown-option", "non-integer", "unknown-command", "no-command",
+        "missing-file", "directory", "extra-argument", "missing-value"])
+def test_usage_error_and_unreadable_input_exit_1(argv, tmp_path):
+    # [DERIVED] exit code 2 means an exploratory result, so a typo or an
+    # input that cannot be read ends like every other failure: exit 1 and
+    # one `error:` line
+    argv = [a.format(directory=tmp_path) for a in argv]
+    res = run_cli(argv, input=json.dumps(E5_DESC))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert "Traceback" not in res.stderr
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m e0struct.cli` exits with main's code: 1 for a missing
+    # file and 0 for an answer, printed as in process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    missing = str(tmp_path / "missing.json")
+    for argv, code, stdout, stderr in [
+            (["classify", missing], 1, "",
+             f"error: cannot read {missing}: No such file or directory\n"),
+            (["classify", write_desc(tmp_path, E5_DESC)], 0,
+             "Z_5 x Z/5Z, method: corollary-iii, certified\n", "")]:
+        proc = subprocess.run([sys.executable, "-m", "e0struct.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, stdout, stderr)

@@ -3,14 +3,18 @@ import random
 
 import pytest
 
+from e0struct import curve
+from e0struct.classifier import classify_general
 from e0struct.curve import (INFINITY, CurvePoint, NotInE0, Transform,
                             WeierstrassCurve, filtration_level,
-                            normalize_additive, point_add, point_mul,
-                            point_neg, psi_E0, reduce_point, reduction_type)
-from e0struct.local_field import LocalField
-from e0struct.residue_field import FiniteField
+                            normalize_additive, psi_E0, reduce_point,
+                            reduction_type)
+from e0struct.formal_group import t_of_multiple
+from e0struct.local_field import LocalField, PrecisionExhausted
+from e0struct.residue_field import FiniteField, frobenius_inverse
 
-from conftest import FIXTURE_COEFFS, make_curve
+from conftest import (FIXTURE_COEFFS, make_curve, point_add, point_mul,
+                      point_neg)
 
 
 def test_invariants_fixture(Q2):
@@ -157,6 +161,87 @@ def test_normalize_rejects_multiplicative(Q5):
     E = make_curve(Q5, (0, 1, 0, 0, 5))
     with pytest.raises(ValueError, match="multiplicative"):
         normalize_additive(E)
+
+
+def _normalize_in_two_steps(E):
+    """The cusp to the origin by (r, 0, t), then the tangent to Y = 0 by
+    (0, s, 0) on that intermediate curve."""
+    f = E.field
+    x0, y0 = reduction_type(E).singular_point
+    tr1 = Transform(f, f.element(x0.coeffs), 0, f.element(y0.coeffs))
+    E1 = tr1.apply(E)
+    a1b, a2b = E1.a1.reduce(), E1.a2.reduce()
+    z0 = frobenius_inverse(a2b) if f.p == 2 else -a1b / 2
+    if not z0:
+        return E1, tr1
+    tr2 = Transform(f, 0, f.element(z0.coeffs), 0)
+    return tr2.apply(E1), Transform(f, tr1.r, tr2.s, tr1.t)
+
+
+MOVES = [(0, 0, 0), (1, 1, 2), (0, 1, 0), (3, 0, 1), (2, 1, 0), (0, 3, 5),
+         (5, 7, 0), (-4, 2, 9)]
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 14])
+@pytest.mark.parametrize("name", sorted(FIXTURE_COEFFS))
+def test_normalize_is_the_two_step_construction(name, M):
+    # [DERIVED] the composed change (r, s, t) gives the curve of the two
+    # changes, coefficient for coefficient and precision for precision,
+    # and the same transform, on each fixture moved by (r, s, t) and
+    # known mod m^M
+    p, a = FIXTURE_COEFFS[name]
+    for field in (LocalField.unramified(p, 1, M),
+                  LocalField.unramified(p, 2, M)):
+        for move in MOVES:
+            try:
+                E = Transform(field, *move).apply(make_curve(field, a))
+            except PrecisionExhausted:
+                continue
+            E2, tr = normalize_additive(E)
+            E2_ref, tr_ref = _normalize_in_two_steps(E)
+            assert [(x.coeffs, x.prec) for x in E2.a] == [
+                (x.coeffs, x.prec) for x in E2_ref.a], (field, move)
+            assert tr.to_json() == tr_ref.to_json(), (field, move)
+
+
+def test_reduction_type_is_computed_once_per_curve(Q3, monkeypatch):
+    # [DERIVED] classify's reduction_type and normalize_additive's read
+    # one computation of the special fibre
+    calls = []
+    compute = curve._reduction_type
+    monkeypatch.setattr(curve, "_reduction_type",
+                        lambda E: calls.append(E) or compute(E))
+    E = Transform(Q3, 1, 1, 2).apply(make_curve(Q3, FIXTURE_COEFFS["E3"][1]))
+    assert reduction_type(E).tag == "additive"
+    assert classify_general(E).structure.torsion == (3,)
+    assert calls == [E]
+
+
+# fixture points of E_0: the torsion points of test_acceptance.py and two
+# of infinite order
+FIXTURE_POINTS = [("E2", (1, -1)), ("E3", (1, 1)), ("E5", (1, -1)),
+                  ("E5", (-11, 38)), ("E7", (2, 1)), ("E9", (3, 5)),
+                  ("E10", (1, 2))]
+
+
+@pytest.mark.parametrize("name, coords", FIXTURE_POINTS)
+def test_ladder_matches_the_affine_law(name, coords, fixture_curves):
+    # [DERIVED] t([n]P) from the ladder is -x/y of the affine n*P, at
+    # the precision both know; [n]P = O exactly when the ladder's t is 0
+    E = fixture_curves[name]
+    P = E.point(*coords)
+    t = psi_E0(E, P)
+    p = E.field.p
+    for n in sorted({2, 3, p, p * p}):
+        ladder = t_of_multiple(E.a, n, t)
+        Q = point_mul(E, n, P)
+        if Q.is_infinity:
+            assert ladder.valuation_or_none() is None, n
+            continue
+        ref = (-(Q.x / Q.y)).integral_part()
+        assert ladder.valuation_or_none() is not None, n
+        assert min(ladder.prec, ref.prec) >= E.field.M // 2, n
+        assert ladder == ref, n
 
 
 # -- brute-force special fibre: the test oracle for the closed forms --------

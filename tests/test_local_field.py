@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from e0struct.local_field import (KElement, LocalField, NotInvertible,
                                   PrecisionExhausted)
 
-from conftest import FIXTURE_COEFFS, make_curve
+from conftest import FIXTURE_COEFFS, make_curve, point_mul
 
 
 @pytest.fixture
@@ -152,7 +153,7 @@ def test_k_product_chains_stay_in_lowest_terms():
     # with t(P) = 1, computed by the group law over K, is pi^2 times a
     # unit; its 8th power keeps no pi^s inside x, so its digits are
     # those of the same power in O_K (24 decimal digits, not 51)
-    from e0struct.curve import CurvePoint, point_mul
+    from e0struct.curve import CurvePoint
     from e0struct.formal_group import _unit_point
 
     K = LocalField.unramified(7, 1, 14)
@@ -217,10 +218,10 @@ PRESENTATIONS = [(2, 1), (5, 1), (3, 2), (3, 3),
                  (5, (-10, 0, 1)), (2, (-6, 2, 1)), (5, (-10, 1))]
 
 
-def _presented(p, n_or_poly):
+def _presented(p, n_or_poly, M=None):
     if isinstance(n_or_poly, int):
-        return LocalField.unramified(p, n_or_poly)
-    return LocalField.eisenstein(p, n_or_poly)
+        return LocalField.unramified(p, n_or_poly, M)
+    return LocalField.eisenstein(p, n_or_poly, M)
 
 
 def _random_element(K, rng, prec):
@@ -298,3 +299,79 @@ def test_k_products_follow_the_o_k_precision_rule(p, n_or_poly):
     assert z.prec == -1 and z.is_zero_at_precision()
     assert (z * z).prec == -2
     assert (z ** 3).prec == -3
+
+
+# -- int operands and inverses against the generic OElement route -------------
+
+SCALAR_FIELDS = [(2, 1), (5, 1), (3, 2), (2, (-2, 0, 1)), (5, (-5, 0, 0, 1))]
+
+
+def _draw(K, rng):
+    """An element known mod m^prec for prec below, at and above M: an
+    apparent zero one time in five, otherwise pi^v times a random vector."""
+    prec = rng.choice([1, 2, K.M - 1, K.M, K.M + 3, 2 * K.M])
+    mods = K.coeff_moduli(prec)
+    if rng.random() < 0.2:
+        return K.element([m * rng.randrange(-2, 3) for m in mods], prec)
+    big = K.p ** (K.int_prec(prec) + 1)
+    x = K.element([rng.randrange(-big, big) for _ in range(K.deg)], prec)
+    return x.shift_up(rng.randrange(3)) if rng.random() < 0.3 else x
+
+
+def _draw_int(p, rng):
+    return rng.choice([0, 1, -1, 2, -3, p, -p, p * p, 7 * p ** 3,
+                       p ** 20 + 1, rng.randrange(-10 ** 6, 10 ** 6),
+                       p * rng.randrange(-10 ** 6, 10 ** 6)])
+
+
+def _newton_inverse(x):
+    """x^-1 by Newton steps z <- z*(2 - x*z) on OElements, from the lift
+    of the residue inverse a^(q-2)."""
+    K = x.field
+    z = K.element((x.reduce() ** (K.residue.order - 2)).coeffs, prec=x.prec)
+    two = K.element([2], prec=x.prec)
+    for _ in range(max(1, math.ceil(math.log2(max(2, x.prec))) + 1)):
+        z = z * (two + -(x * z))
+    return K.element(z.coeffs, x.prec)
+
+
+def _same(x, y):
+    return (x.coeffs, x.prec) == (y.coeffs, y.prec)
+
+
+@pytest.mark.parametrize("M", [1, 4, 10])
+@pytest.mark.parametrize("p, n_or_poly", SCALAR_FIELDS)
+def test_int_operands_take_the_generic_route_values(p, n_or_poly, M):
+    # [DERIVED] an int k meets x as the element k known mod
+    # m^max(x.prec, M) would: x*k, k*x, x + k, x - k and k - x have the
+    # coefficients and precision of that route, and LocalField.dot of
+    # (x, k) has the product's
+    K = _presented(p, n_or_poly, M)
+    rng = random.Random(f"scalar/{p}/{n_or_poly}/{M}")
+    for _ in range(300):
+        x, k = _draw(K, rng), _draw_int(p, rng)
+        g = K.element([k], prec=max(x.prec, K.M))
+        assert _same(x * k, x * g)
+        assert _same(k * x, g * x)
+        assert _same(x + k, x + g)
+        assert _same(x - k, x + (-g))
+        assert _same(k - x, g + (-x))
+        assert (K.dot([(x, k)]).prec, K.dot([(k, x)]).prec) == (
+            (x * g).prec,) * 2
+
+
+@pytest.mark.parametrize("M", [1, 4, 10])
+@pytest.mark.parametrize("p, n_or_poly", SCALAR_FIELDS)
+def test_difference_and_inverse_take_the_generic_route_values(p, n_or_poly, M):
+    # [DERIVED] x - y is x + (-y) in one element, and invert's Newton
+    # steps on coefficient vectors give the OElement steps' inverse
+    K = _presented(p, n_or_poly, M)
+    rng = random.Random(f"sub/{p}/{n_or_poly}/{M}")
+    units = 0
+    for _ in range(300):
+        x, y = _draw(K, rng), _draw(K, rng)
+        assert _same(x - y, x + (-y))
+        if x and x.prec >= 1 and x.is_unit():
+            units += 1
+            assert _same(x.invert(), _newton_inverse(x))
+    assert units > 50

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from e0struct.residue_field import (AdditivePoly, FiniteField, _fp_kernel,
-                                    additive_poly_roots, ff_norm, frobenius)
+                                    additive_poly_roots, ff_norm, frobenius,
+                                    is_prime)
 
 
 def test_prime_field_arithmetic():
@@ -147,3 +148,19 @@ def test_fp_kernel_of_rectangular_matrices(rows, cols, p):
                       for i in range(cols))
                 for combo in itertools.product(range(p), repeat=len(basis))}
         assert span == kernel and len(kernel) == p ** len(basis)
+
+
+INVERSE_FIELDS = [(p, n) for p in range(2, 50) if is_prime(p)
+                  for n in range(1, 6) if p ** n <= 49] + [(11, 2)]
+
+
+@pytest.mark.parametrize("p, n", INVERSE_FIELDS)
+def test_inverse_is_the_power_q_minus_2(p, n):
+    # [DERIVED] a^(q-1) = 1 on F_q^*, so the extended-Euclid inverse is
+    # a^(q-2) for every nonzero element; 0 has none
+    k = FiniteField(p, n)
+    for a in k:
+        if a:
+            assert a.inverse() == a ** (k.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        k.zero.inverse()
