@@ -4,8 +4,11 @@ formal-group data, verify points, and run oracle comparisons.
 The a_i and point coordinates go to the curve as written, so
 LocalField.embed_rational alone decides their value and precision.
 
-Exit codes: 0 = success/certified, 2 = exploratory result, 1 = error,
-a usage error or unreadable input included.  JSON output is
+Each subcommand is a plain function that returns its exit code and
+raises on failure; main is the one place that catches a failure, prints
+it (one `error:` line on stderr, or a JSON object under --json) and
+exits.  Exit codes: 0 = success/certified, 2 = exploratory result,
+1 = error, a usage error or unreadable input included.  JSON output is
 deterministic (sorted keys)."""
 
 from __future__ import annotations
@@ -124,69 +127,51 @@ def _emit(payload, text_lines, as_json):
             print(line)
 
 
-def _fail(message, as_json=False):
-    if as_json:
-        print(json.dumps({"error": message}, sort_keys=True))
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    sys.exit(EXIT_ERROR)
+def _curve(input, precision):
+    """The descriptor in INPUT (a path or '-') and its curve, over the
+    field at `precision` (the descriptor's own when None)."""
+    desc = load_descriptor(_read_input(input))
+    return desc, build_curve(build_field(desc, precision), desc)
 
 
-def _error_boundary(command):
-    """Report every failure of a subcommand as `error: <message>` with
-    exit code 1; AssertionError covers the internal consistency checks."""
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except (ValueError, ArithmeticError, AssertionError) as exc:
-            _fail(str(exc) or type(exc).__name__, kwargs.get("as_json"))
-    return wrapper
-
-
-@_error_boundary
 def classify(input, precision, as_json):
     """Classify E_0(K) for the descriptor in INPUT (path or '-')."""
-    desc = load_descriptor(_read_input(input))
-    field = build_field(desc, precision)
-    E = build_curve(field, desc)
+    _, E = _curve(input, precision)
     rt = reduction_type(E)
     if rt.tag != "additive":
-        _fail(f"reduction type: {rt.tag} (additive required)", as_json)
+        raise ValueError(f"reduction type: {rt.tag} (additive required)")
     report = classify_general(E)
     tag = "certified" if report.certified else "exploratory"
     _emit(report.to_json(),
           [f"{report.structure}, method: {report.method}, {tag}"],
           as_json)
-    sys.exit(EXIT_OK if report.certified else EXIT_EXPLORATORY)
+    return EXIT_OK if report.certified else EXIT_EXPLORATORY
 
 
-@_error_boundary
 def normalize(input, precision, as_json):
     """Translate the singular point to the origin and kill the tangent
     cross term; print the transformed model."""
-    desc = load_descriptor(_read_input(input))
-    field = build_field(desc, precision)
-    E = build_curve(field, desc)
+    _, E = _curve(input, precision)
     E2, tr = normalize_additive(E)
     payload = {"curve": E2.to_json(), "transform": tr.to_json()}
     avals = [list(ai.coeffs) for ai in E2.a]
     lines = [f"normalized a-invariants (coefficient vectors): {avals}",
              f"transform (r, s, t): {json.dumps(tr.to_json(), sort_keys=True)}"]
     _emit(payload, lines, as_json)
+    return EXIT_OK
 
 
 def formal_group(p, n_series, degree, as_json):
     """Print the generic group law F, the series [n], and g."""
     if degree > SYMBOLIC_DEGREE_BOUND:
-        _fail(f"degree {degree} exceeds symbolic bound "
-              f"{SYMBOLIC_DEGREE_BOUND}", as_json)
+        raise ValueError(f"degree {degree} exceeds symbolic bound "
+                         f"{SYMBOLIC_DEGREE_BOUND}")
     if degree < 0:
-        _fail("--degree must be >= 0", as_json)
+        raise ValueError("--degree must be >= 0")
     if n_series < 1:
-        _fail("--n-series must be >= 1", as_json)
+        raise ValueError("--n-series must be >= 1")
     if p is not None and not is_prime(p):
-        _fail(f"--p {p} is not prime", as_json)
+        raise ValueError(f"--p {p} is not prime")
     F = generic_group_law(min(degree, 6))
     mn = generic_mult_by_n(n_series, degree)
     payload = {"F": F.pretty(("X", "Y")),
@@ -204,30 +189,28 @@ def formal_group(p, n_series, degree, as_json):
         lines.append(f"g = {g}" if p in G_TABLE
                      else "g = T (no torsion contribution for p > 7)")
     _emit(payload, lines, as_json)
+    return EXIT_OK
 
 
-@_error_boundary
 def verify_point(input, precision, as_json):
     """Check each descriptor point: on-curve, E_0 membership, filtration
     level, and torsion order."""
     if precision < 1:
-        _fail("--precision must be >= 1", as_json)
-    desc = load_descriptor(_read_input(input))
-    field = build_field(desc, None)
-    E = build_curve(field, desc)
+        raise ValueError("--precision must be >= 1")
+    desc, E = _curve(input, None)
     if not desc.get("points"):
-        _fail("descriptor has no points to verify", as_json)
-    report = classify_general(E)
+        raise ValueError("descriptor has no points to verify")
     tr = None
     if not E.is_normalized():
         E, tr = normalize_additive(E)
+    report = classify_general(E)
     results = [_verify_one(E, report, pt, precision, tr)
                for pt in desc["points"]]
     _emit({"points": results}, [r["text"] for r in results], as_json)
-    sys.exit(EXIT_OK if report.certified else EXIT_EXPLORATORY)
+    return EXIT_OK if report.certified else EXIT_EXPLORATORY
 
 
-def _verify_one(E, report, raw, precision, tr=None):
+def _verify_one(E, report, raw, precision, tr):
     field = E.field
     P = build_point(E, raw)
     if tr is not None:
@@ -239,10 +222,9 @@ def _verify_one(E, report, raw, precision, tr=None):
                     "text": "infinity: identity"})
         return out
     res = E.equation_residual(P)
-    if not E.contains(P):
-        v = None if res.is_zero_at_precision() else res.valuation()
+    if not res.is_zero_at_precision():
         raise ValueError(f"point not on curve: residual valuation "
-                         f"{v if v is not None else '>= prec'}")
+                         f"{res.valuation()}")
     _, smooth = reduce_point(E, P)
     if not smooth:
         out.update({"in_E0": False,
@@ -294,26 +276,23 @@ def _torsion_order(t_mult, p, precision):
     return None
 
 
-@_error_boundary
 def oracle(input, level, precision, as_json):
     """Compare the certified classification against the brute-force
     finite-quotient oracle at level M."""
     if level < 1:
-        _fail("-m/--level must be >= 1", as_json)
-    desc = load_descriptor(_read_input(input))
-    field = build_field(desc, precision)
-    E = build_curve(field, desc)
+        raise ValueError("-m/--level must be >= 1")
+    _, E = _curve(input, precision)
+    if not E.is_normalized():
+        E, _ = normalize_additive(E)
     report = classify_general(E)
     if not report.certified:
-        _fail("oracle comparison requires a certified classification",
-              as_json)
-    if report.transform is not None and not report.transform.is_identity:
-        E, _ = normalize_additive(E)
+        raise ValueError(
+            "oracle comparison requires a certified classification")
     verdict = compare(E, report, level)
     lines = [f"order {verdict['order']}, p_rank {verdict['p_rank']}, "
              f"kernel {verdict['kernel_size']}: {verdict['verdict']}"]
     _emit(verdict, lines, as_json)
-    sys.exit(EXIT_OK if verdict["verdict"] == "pass" else EXIT_ERROR)
+    return EXIT_OK if verdict["verdict"] == "pass" else EXIT_ERROR
 
 
 class UsageError(Exception):
@@ -372,15 +351,25 @@ def _parser(prog):
 
 def main(argv=None, prog_name=None):
     """Run one subcommand on argv (sys.argv[1:] by default) and exit with
-    its code, through SystemExit."""
+    its code, through SystemExit.  Every failure ends here as one error
+    with exit code 1; AssertionError covers the internal consistency
+    checks.  A usage error comes before --json is read, so it is always
+    an `error:` line."""
+    as_json = False
     try:
         args = vars(_parser(prog_name or "e0struct").parse_args(argv))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_ERROR)
-    del args["command"]
-    args.pop("run")(**args)
-    sys.exit(EXIT_OK)
+        del args["command"]
+        as_json = args["as_json"]
+        code = args.pop("run")(**args)
+    except (UsageError, ValueError, ArithmeticError,
+            AssertionError) as exc:
+        message = str(exc) or type(exc).__name__
+        if as_json:
+            print(json.dumps({"error": message}, sort_keys=True))
+        else:
+            print(f"error: {message}", file=sys.stderr)
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ import importlib.util
 import math
 import sys
 
-from .formal_group import tail_valuation
-
 
 def _lazy_import(name):
     """The module `name`, executed at its first attribute access: only the
@@ -258,9 +256,10 @@ class FiniteModel:
         D = 6 * M + 2
         self.D = D
         # truncation soundness: the first dropped coefficient has weight
-        # >= D and every a_j lies in m_K (not always in m_K^e), so the
+        # >= D, so each of its monomials has at least ceil(D/6) factors
+        # a_j, and every a_j lies in m_K (not always in m_K^e): the
         # dropped terms have valuation >= ceil(D/6) > M even at units
-        assert tail_valuation(E.a, D, 0) >= M
+        assert min(aj._vmin() for aj in E.a) * math.ceil(D / 6) >= M
         bound = self.ring.int64_bound(D)
         if bound >= 2 ** 63:
             raise ModelTooLarge(

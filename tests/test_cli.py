@@ -384,16 +384,24 @@ def test_internal_failure_is_a_clean_error(argv, desc, message):
     (["formal-group", "--p", "1"], "--p 1 is not prime"),
     (["formal-group", "--p", "-3"], "--p -3 is not prime"),
     (["formal-group", "--degree", "-1"], "--degree must be >= 0"),
+    (["formal-group", "--degree", "30"],
+     "degree 30 exceeds symbolic bound 24"),
     (["verify-point", "-", "--precision", "0"],
      "--precision must be >= 1"),
 ], ids=["oracle-m0", "oracle-m-1", "p4", "p9", "p1", "p-3", "degree-1",
-        "verify-precision0"])
+        "degree30", "verify-precision0"])
 def test_out_of_range_option_is_an_error(argv, message):
+    # every subcommand, formal-group included, fails through main: one
+    # `error:` line on stderr, or under --json one JSON object on stdout
     desc = dict(E2_DESC, points=[{"x": 1, "y": -1}])
     res = run_cli(argv, input=json.dumps(desc))
     assert res.exit_code == 1
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
+    res = run_cli(argv + ["--json"], input=json.dumps(desc))
+    assert res.exit_code == 1
+    assert res.stdout == json.dumps({"error": message}) + "\n"
+    assert res.stderr == ""
 
 
 def _unnormalized(p, n, a, rst):
@@ -443,6 +451,41 @@ def test_verify_point_runs_each_ladder_once(desc, precision, ladders, text,
                   input=json.dumps(desc))
     assert (res.exit_code, res.output) == (0, text)
     assert calls == ladders
+
+
+@pytest.mark.parametrize("argv, twin_output", [
+    (["verify-point", "-"],
+     "in E_0, level 0, 5-torsion\n"
+     "in E_0, level 0, not p^j-torsion for j <= 2 (mod m^4)\n"
+     "infinity: identity\n"),
+    (["oracle", "-", "-m", "3"], "order 125, p_rank 2, kernel 25: pass\n"),
+], ids=["verify-point", "oracle"])
+def test_unnormalized_input_is_normalized_once(argv, twin_output,
+                                               monkeypatch):
+    # [DERIVED] the structure does not change under a change of
+    # coordinates, so verify-point and oracle normalize first and classify
+    # the normalized model: one normalize_additive, through either lookup,
+    # and the output of the normalized twin
+    import e0struct.classifier as classifier
+    import e0struct.cli as cli
+
+    points = [{"x": 1, "y": -1}, {"x": -11, "y": 38}, "infinity"]
+    twin = dict(E5_DESC, points=points)
+    res = run_cli(argv, input=json.dumps(twin))
+    assert (res.exit_code, res.output) == (0, twin_output)
+
+    calls = []
+    normalize = cli.normalize_additive
+    for module in (cli, classifier):
+        monkeypatch.setattr(module, "normalize_additive",
+                            lambda E: calls.append(E) or normalize(E))
+    # E5 moved by X = X', Y = Y' + X': a point (x, y) of E5 is (x, y - x)
+    moved = dict(_unnormalized(5, 1, E5_DESC["a"], ([0], [1], [0])),
+                 points=[{"x": 1, "y": -2}, {"x": -11, "y": 49},
+                         "infinity"])
+    res = run_cli(argv, input=json.dumps(moved))
+    assert (res.exit_code, res.output) == (0, twin_output)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

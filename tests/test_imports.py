@@ -146,6 +146,85 @@ def test_trace_targets_resolve():
     assert callable(getattr(ff, "__iter__", None))
 
 
+def test_benchmark_contract_on_cli(capsys):
+    # [DERIVED] the benchmark's operations look these names up on the cli
+    # module (perfbench/workloads.py), and perfbench/cli_traced.py runs
+    # main in process, relying on it to end in SystemExit as a process
+    # would; a CLI refactor that breaks either breaks the benchmark,
+    # which no other test runs
+    import e0struct.cli as cli
+
+    used = set()
+    for script in ("workloads.py", "cli_traced.py"):
+        tree = ast.parse((ROOT / "perfbench" / script).read_text())
+        used |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == "cli"}
+    assert {"load_descriptor", "classify_general", "main"} <= used
+    for name in sorted(used):
+        assert callable(getattr(cli, name, None)), name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["formal-group", "--degree", "0"], prog_name="e0struct")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("F(X, Y) = 0")
+
+
+def _sys_exit_owners(tree):
+    """Names of the functions whose own body (nested functions aside)
+    reads sys.exit, with "<module>" for module-level code."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "exit"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "sys"):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_cli_main_exits():
+    # [DERIVED] a subcommand returns its exit code and raises on failure;
+    # cli.main is the one place that catches, prints an error and exits
+    exits = {(path.stem, owner) for path in PACKAGE.glob("*.py")
+             for owner in _sys_exit_owners(ast.parse(path.read_text()))}
+    assert exits == {("cli", "main")}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    defs = {n.name: n for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)}
+    # _parser registers each subcommand as command(name, function)
+    commands = {n.args[1].id for n in ast.walk(defs["_parser"])
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "command"}
+    assert commands == {"classify", "normalize", "formal_group",
+                        "verify_point", "oracle"}
+    for name in commands:
+        names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                 for n in ast.walk(defs[name])
+                 if isinstance(n, (ast.Attribute, ast.Name))}
+        assert names.isdisjoint({"exit", "SystemExit"}), name
+        assert any(isinstance(n, ast.Return) and n.value is not None
+                   for n in ast.walk(defs[name])), name
+
+
+def test_oracle_shares_no_series_code():
+    # [DERIVED] the oracle is the independent check of the engine, so it
+    # imports nothing from formal_group or series
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    imported = {part for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                for name in [getattr(n, "module", None) or ""]
+                + [alias.name for alias in n.names]
+                for part in name.split(".")}
+    assert imported.isdisjoint({"formal_group", "series"})
+
+
 def _fresh_python(code, *args):
     """stdout of `code` run in a fresh interpreter that imports e0struct
     from this checkout."""
