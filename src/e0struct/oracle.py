@@ -7,13 +7,19 @@ arithmetic over O_K/p^k), sharing no series code with formal_group.
 The two counts check each other: one double-and-add ladder over the
 bits of p runs on points in p_rank (p*x at every residue) and on series
 in kernel_count ([p](T), then evaluated at every residue), and the
-tests compare that [p](T) with the engine's.  All arithmetic runs
-through three primitives of _Ring (a ring product, a truncated series
-product and a polynomial evaluation), whose worst-case int64
-intermediate is checked before a model is built."""
+tests compare that [p](T) with the engine's.  Both counts contract with
+one power table x^0 ... x^D of the residues.  On points the ladder runs
+on row indices of the residues: a doubling is a lookup in the doubling
+map x -> F(x, x), computed once from the diagonal, and an addition of x
+contracts the table G_i(x) = sum_j F[i][j] x^j with the power-table
+rows of the running sum.  All arithmetic runs through the primitives of
+_Ring (a ring product, a truncated series product, a power table and
+its contractions), whose worst-case int64 intermediate is checked
+before a model is built."""
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import sys
@@ -69,19 +75,23 @@ class _Ring:
         self.poly = field.poly
 
     def int64_bound(self, D):
-        """Largest intermediate of mul, series_mul and evaluate on series
-        truncated at degree D.  A coordinate of an unreduced product sums
-        d coordinate products below q^2 per term: one term in mul,
-        (r+1)(c+1) <= (D+2)^2/4 at the coefficient (r, c), r + c <= D, of
-        series_mul, and D+1 <= (D+2)^2/4 in evaluate.  Each of the d-1
-        reduction steps by the defining polynomial grows the magnitude by
-        at most a factor 1 + H, H its largest lower coefficient.  Every
-        factor lies in [0, q), so this covers each product a model makes:
-        the chord's and the negation's series_mul (t3 by the unit inverse)
-        and mul (a1 t3, a3 w3), invert_unit (2 - az is reduced first), and
-        evaluate at the G table, at each addition or doubling of a point
-        or series (the diagonal F(T, T) sums up to D+1 entries below q per
-        coefficient, reduced mod q first) and at the series of [p]."""
+        """Largest intermediate of mul, series_mul and the contractions on
+        series truncated at degree D.  A coordinate of an unreduced
+        product sums d coordinate products below q^2 per term: one term in
+        mul, (r+1)(c+1) <= (D+2)^2/4 at the coefficient (r, c), r + c <= D,
+        of series_mul, and at most D+1 <= (D+2)^2/4 in contract and
+        contract_triangle.  Each of the d-1 reduction steps by the defining
+        polynomial grows the magnitude by at most a factor 1 + H, H its
+        largest lower coefficient.  Every factor lies in [0, q), so this
+        covers each product a model makes: the chord's and the negation's
+        series_mul (t3 by the unit inverse) and mul (a1 t3, a3 w3),
+        invert_unit (2 - az is reduced first), the power tables, and every
+        contraction: a row of the triangular G table (D + 1 - i terms), an
+        addition of a point (G against the gathered power-table rows of
+        the running sum, D + 1 terms), the diagonal F(T, T) (up to D+1
+        entries below q per coefficient, reduced mod q first) and [p](T)
+        at the residues' power table, and the doublings and additions of
+        series in mult_p_series."""
         d = self.d
         H = max(abs(c) for c in self.poly[:d])
         return (D + 2) ** 2 // 4 * d * (self.q - 1) ** 2 * (1 + H) ** (d - 1)
@@ -141,25 +151,50 @@ class _Ring:
             np.moveaxis(prod.reshape(R, t + 1, S), -1, 0), self.poly, self.q)
         return out if A.ndim == 3 else out[0]
 
-    def evaluate(self, C, X, series=False):
-        """sum_j C[..., j] X^j at ring elements X, or at one truncated
-        series X.  The power table X^0 ... X^D takes D - 1 products (mul
-        or series_mul), and its contraction with the coefficient rows
-        C (..., D+1, d) sums over j before the one reduction.  The other
-        leading axes of C broadcast against those of X, so C[:, None]
-        gives one polynomial per row of C at every point of X."""
-        D = C.shape[-2] - 1
-        product = self.series_mul if series else self.mul
+    def powers(self, X, D, series=False):
+        """The power table X^0 ... X^D of ring elements X (..., d), or of
+        one truncated series X, with the power axis in front of the
+        coordinate axis: (..., D+1, d).  It takes D - 1 products (mul or
+        series_mul), built power by power in contiguous blocks and
+        transposed once at the end."""
         P = np.zeros((D + 1,) + X.shape, dtype=np.int64)
         if series:
             P[(0,) * P.ndim] = 1
         else:
             P[0, ..., 0] = 1
         P[1] = X % self.q
+        product = self.series_mul if series else self.mul
         for j in range(2, D + 1):
             P[j] = product(P[j - 1], P[1])
+        return np.ascontiguousarray(np.moveaxis(P, 0, -2))
+
+    def contract(self, C, P):
+        """sum_j C[..., j, :] P[..., j, :] over the power axis of a power
+        table P, summed before the one reduction.  The other leading axes
+        of C broadcast against those of P, so C[:, None] gives one
+        polynomial per row of C at every point of P."""
         return self._product(lambda a, b: np.einsum(
-            "...j,j...->...", C[..., a], P[..., b]))
+            "...j,...j->...", C[..., a], P[..., b]))
+
+    def contract_triangle(self, C, P):
+        """sum_{j <= D-i} C[i, j] P[:, j] for every row i of a coefficient
+        square C (D+1, D+1, d) truncated at total degree D, at the points
+        whose power table is P (N, D+1, d); returns (N, D+1, d).  Row i
+        stops at column D - i, so the triangle is half the square.  Each
+        coordinate of P is contracted as a contiguous (D+1, N) block."""
+        D = C.shape[0] - 1
+        Pt = [np.ascontiguousarray(P[..., b].T) for b in range(self.d)]
+        out = np.empty_like(P)
+        for i in range(D + 1):
+            n = D + 1 - i
+            out[:, i] = self._product(lambda a, b: C[i, :n, a] @ Pt[b][:n])
+        return out
+
+    def evaluate(self, C, X, series=False):
+        """sum_j C[..., j] X^j at ring elements X, or at one truncated
+        series X: the contraction of the coefficient rows C (..., D+1, d)
+        with the power table of X."""
+        return self.contract(C, self.powers(X, C.shape[-2] - 1, series))
 
     def invert_unit(self, A):
         """Inverse of a series with constant term 1, by Newton iteration
@@ -287,17 +322,26 @@ class FiniteModel:
             out[..., i] %= m
         return out
 
-    def _g_rows(self, Y):
-        """G_i(y) = sum_j F[i][j] y^j for all i, vectorized over rows of
-        Y; returns array (D+1, len(Y), d)."""
-        return self.ring.evaluate(self.F[:, None], Y)
+    def index(self, X):
+        """Row indices in self.residues of the residues of X (..., d): the
+        residues are the canonical vectors in lexicographic order."""
+        return np.ravel_multi_index(
+            tuple(np.moveaxis(self.canonical(X), -1, 0)), self.moduli)
+
+    @functools.cached_property
+    def residue_powers(self):
+        """x^0 ... x^D at every residue x, (order, D+1, d): the one power
+        table that p_rank and kernel_count contract with."""
+        return self.ring.powers(self.residues, self.D)
 
     def add_batch(self, X, Y, G=None):
         """F(x, y) = sum_i G_i(y) x^i for paired rows of X and Y
-        (coordinates mod p^(kd+2))."""
+        (coordinates mod p^(kd+2)), with the table
+        G_i(y) = sum_{j <= D-i} F[i][j] y^j given or contracted from F."""
         if G is None:
-            G = self._g_rows(Y)
-        return self.ring.evaluate(G.transpose(1, 0, 2), X)
+            G = self.ring.contract_triangle(self.F,
+                                            self.ring.powers(Y, self.D))
+        return self.ring.evaluate(G, X)
 
     def is_zero(self, X):
         """Rows whose residue mod m^M is zero."""
@@ -314,18 +358,22 @@ class FiniteModel:
                 z = add_x(z)
         return z
 
-    def times_p(self, X):
-        """p*x for the rows x of X: a doubling evaluates the diagonal
-        F(T, T), an addition of x reuses one G table of X.  F is exact
-        mod m^M at every point of O_K, so every bracketing of x + ... + x
-        has the same residue."""
-        G = self._g_rows(X) if self.field.p > 2 else None
-        return self._times_p(X, lambda Z: self.ring.evaluate(self.diag, Z),
-                             lambda Z: self.add_batch(Z, X, G=G))
+    def p_multiples(self):
+        """The row index of p*x for every residue x, by the ladder of
+        _times_p on index vectors.  F is exact mod m^M at every point of
+        O_K, so z + x depends only on the residues of z and x: a doubling
+        is a lookup in the doubling map x -> F(x, x), contracted once from
+        the diagonal, and an addition of x contracts the G table of the
+        residues with the power-table rows of z."""
+        ring, P = self.ring, self.residue_powers
+        dbl = self.index(ring.contract(self.diag, P))
+        G = ring.contract_triangle(self.F, P) if self.field.p > 2 else None
+        return self._times_p(np.arange(self.order), lambda z: dbl[z],
+                             lambda z: self.index(ring.contract(G, P[z])))
 
     def p_rank(self):
-        """log_p #{x : p*x = 0}, with p*x from times_p."""
-        count = int(self.is_zero(self.times_p(self.residues)).sum())
+        """log_p #{x : p*x = 0}, with p*x from p_multiples."""
+        count = int((self.p_multiples() == 0).sum())
         rank = 0
         while self.field.p ** rank < count:
             rank += 1
@@ -336,7 +384,7 @@ class FiniteModel:
 
     def mult_p_series(self):
         """[p](T) mod p^(kd+2), by the same double-and-add on series as
-        times_p: a doubling is u -> F(u, u), the diagonal at u, and an
+        p_multiples: a doubling is u -> F(u, u), the diagonal at u, and an
         addition of T is u -> F(u(T), T) = sum_j T^j G_j(u), with
         G_j(u) = sum_i F[i][j] u^i."""
         if self._mp_coeffs is None:
@@ -356,55 +404,60 @@ class FiniteModel:
                 T, lambda u: ring.evaluate(self.diag, u, series=True), add_t)
         return self._mp_coeffs
 
+    @functools.cached_property
     def _kernel_flags(self):
-        return self.is_zero(self.ring.evaluate(self.mult_p_series(),
-                                               self.residues))
+        """[p](x) = 0 mod m^M at each residue: the series [p](T) of
+        mult_p_series contracted with the residues' power table."""
+        return self.is_zero(self.ring.contract(self.mult_p_series(),
+                                               self.residue_powers))
 
     def kernel_count(self):
         """#{x : [p](x) = 0 mod m^M}, evaluating the series [p](T) of
         mult_p_series at every residue: a cross-check of p_rank, which
         adds points."""
-        return int(self._kernel_flags().sum())
+        return int(self._kernel_flags.sum())
 
     def kernel_witnesses(self, limit=5):
-        idx = np.nonzero(self._kernel_flags())[0][:limit]
+        idx = np.nonzero(self._kernel_flags)[0][:limit]
         return [list(map(int, self.residues[i])) for i in idx]
 
     # -- verification ------------------------------------------------------
 
     def _spot_checks(self, trials=200, seed=0):
+        """Identity, independence of the lift, associativity and
+        commutativity on random residues, in two add_batch calls."""
         rng = np.random.default_rng(seed)
-        R = len(self.residues)
-        # identity
-        zero = np.zeros((1, self.ring.d), dtype=np.int64)
-        sample = self.residues[rng.integers(0, R, size=min(30, R))]
-        back = self.canonical(self.add_batch(
-            sample.copy(), np.repeat(zero, len(sample), axis=0)))
-        assert (back == sample).all(), "0 is not the identity"
-        # well-definedness: random lifts of the same residues agree
-        X = self.residues[rng.integers(0, R, size=trials)].copy()
-        Y = self.residues[rng.integers(0, R, size=trials)].copy()
-        base = self.canonical(self.add_batch(X, Y))
+        R, q = len(self.residues), self.ring.q
+
+        def draw(size):
+            return self.residues[rng.integers(0, R, size=size)]
+
+        sample = draw(min(30, R))
+        X, Y = draw(trials), draw(trials)
         bumps_x = np.zeros_like(X)
         bumps_y = np.zeros_like(Y)
         for i, m in enumerate(self.moduli):
             bumps_x[:, i] = m * rng.integers(0, 4, size=trials)
             bumps_y[:, i] = m * rng.integers(0, 4, size=trials)
-        lifted = self.canonical(self.add_batch((X + bumps_x) % self.ring.q,
-                                               (Y + bumps_y) % self.ring.q))
-        assert (lifted == base).all(), "addition depends on the lift"
-        # associativity on random triples
         k = min(40, R)
-        A = self.residues[rng.integers(0, R, size=k)].copy()
-        B = self.residues[rng.integers(0, R, size=k)].copy()
-        C = self.residues[rng.integers(0, R, size=k)].copy()
-        left = self.canonical(self.add_batch(self.add_batch(A, B), C))
-        right = self.canonical(self.add_batch(A, self.add_batch(B, C)))
-        assert (left == right).all(), "associativity spot-check failed"
-        # commutativity
-        ab = self.canonical(self.add_batch(A, B))
-        ba = self.canonical(self.add_batch(B, A))
-        assert (ab == ba).all(), "commutativity spot-check failed"
+        A, B, C = draw(k), draw(k), draw(k)
+        # one batch: x + 0, the sums x + y of residues and of random lifts
+        # of them, and the pair sums of the triples
+        lhs = [sample, X, (X + bumps_x) % q, A, B, B]
+        rhs = [np.zeros_like(sample), Y, (Y + bumps_y) % q, B, C, A]
+        cuts = np.cumsum([len(x) for x in lhs])[:-1]
+        back, base, lifted, ab, bc, ba = np.split(
+            self.add_batch(np.concatenate(lhs), np.concatenate(rhs)), cuts)
+        assert (self.canonical(back) == sample).all(), "0 is not the identity"
+        assert (self.canonical(lifted) == self.canonical(base)).all(), \
+            "addition depends on the lift"
+        # the second batch: (A + B) + C and A + (B + C)
+        left, right = np.split(self.add_batch(np.concatenate([ab, A]),
+                                              np.concatenate([C, bc])), [k])
+        assert (self.canonical(left) == self.canonical(right)).all(), \
+            "associativity spot-check failed"
+        assert (self.canonical(ab) == self.canonical(ba)).all(), \
+            "commutativity spot-check failed"
 
 
 def finite_model(E, M) -> FiniteModel:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from e0struct import oracle
 from e0struct.classifier import (ClassificationReport, GroupStructure,
                                  classify_general)
 from e0struct.curve import WeierstrassCurve
@@ -93,17 +94,39 @@ def test_compare_pass(Q2, Q3):
         assert verdict["verdict"] == "pass", (name, verdict)
 
 
-def test_compare_fail_with_witness(Q2):
+def _recorded(monkeypatch, *names):
+    """Patch the named _Ring primitives to log (name, arguments) per
+    call, keyword values after the positional ones."""
+    calls = []
+    for name in names:
+        def wrapper(self, *args, _inner=getattr(_Ring, name), _name=name,
+                    **kwargs):
+            calls.append((_name, args + tuple(kwargs.values())))
+            return _inner(self, *args, **kwargs)
+        monkeypatch.setattr(_Ring, name, wrapper)
+    return calls
+
+
+def test_compare_fail_with_witness(Q2, monkeypatch):
     # corrupt the predicted structure: claim E_2 is torsion-free
     E = make_curve(Q2, FIXTURE_COEFFS["E2"][1])
     report = classify_general(E)
     bad = ClassificationReport(
         GroupStructure(2, 1, ()), report.method, report.evidence, True,
         report.transform)
+    models = []
+    monkeypatch.setattr(oracle, "finite_model", lambda *args: (
+        models.append(FiniteModel(*args)) or models[-1]))
+    calls = _recorded(monkeypatch, "contract")
     verdict = compare(E, bad, 4)
     assert verdict["verdict"] == "fail"
     assert verdict["kernel_size"] == 4
-    assert verdict.get("witness")
+    assert verdict["witness"] == [[0], [1], [8], [9]]
+    # the witnesses reuse the kernel flags: [p](T) is evaluated at the
+    # residues once
+    m, = models
+    assert sum(C is m.mult_p_series() and P is m.residue_powers
+               for _, (C, P) in calls) == 1
 
 
 def test_compare_requires_certified(Q2sqrt2):
@@ -250,11 +273,17 @@ def test_evaluate_matches_horner():
 
 # -- references for the p-fold sum and the negation ---------------------------
 
+def _full_square_g_table(m, Y):
+    """G_i(y) = sum_j F[i][j] y^j over the whole (D+1) x (D+1) square of F
+    in one contraction, in the layout of _Ring.contract_triangle."""
+    return m.ring.evaluate(m.F[:, None], Y).transpose(1, 0, 2)
+
+
 def _p_fold_reference(m):
     """p*x at every residue by p - 1 additions of the fixed summand x,
-    reusing one G table."""
+    reusing one full-square G table."""
     X = m.residues
-    G = m._g_rows(X)
+    G = _full_square_g_table(m, X)
     Z = X.copy()
     for _ in range(m.field.p - 1):
         Z = m.add_batch(Z, X, G=G)
@@ -302,54 +331,77 @@ REFERENCE_MODELS = {
 }
 
 
+def _reference_model(name):
+    E, M = REFERENCE_MODELS[name]()
+    return finite_model(E, M)
+
+
 @pytest.mark.parametrize("name", list(REFERENCE_MODELS))
 def test_double_and_add_and_negation_match_references(name):
-    # [DERIVED] the chain's p*x equals the p-fold sum at every residue,
-    # and F by one negation equals F = i(t3) bit for bit
-    E, M = REFERENCE_MODELS[name]()
-    m = finite_model(E, M)
+    # [DERIVED] the index ladder's p*x equals the p-fold sum at every
+    # residue, and F by one negation equals F = i(t3) bit for bit
+    m = _reference_model(name)
     assert np.array_equal(m.F, _F_by_inverse_series(m))
-    assert np.array_equal(m.canonical(m.times_p(m.residues)),
+    assert np.array_equal(m.residues[m.p_multiples()],
                           m.canonical(_p_fold_reference(m)))
-    # the residues keep the lexicographic order kernel_witnesses reports
+    # the residues keep the lexicographic order kernel_witnesses reports,
+    # which is the order of the indices
     assert m.residues.tolist() == [
         list(r) for r in itertools.product(*(range(k) for k in m.moduli))]
+    assert np.array_equal(m.index(m.residues), np.arange(m.order))
 
 
-def test_p_rank_evaluation_count(monkeypatch):
-    # [DERIVED] p = 31 = 0b11111: 4 doublings, 4 additions and one G
-    # table, so at most popcount - 1 = 4 add_batch calls and
-    # bit_length + popcount - 1 = 9 evaluations in all
+@pytest.mark.parametrize("name", list(REFERENCE_MODELS))
+def test_triangular_g_table_is_the_full_square(name):
+    # [DERIVED] F is truncated at total degree D, so the entries of the
+    # square past the triangle are zero and the two contractions agree
+    m = _reference_model(name)
+    assert np.array_equal(m.ring.contract_triangle(m.F, m.residue_powers),
+                          _full_square_g_table(m, m.residues))
+
+
+def _p31_model():
     field = LocalField.eisenstein(31, (-31, 0, 1), 8)
     m = finite_model(random_normalized_curve(field, random.Random(31)), 3)
     assert m.order == 31 ** 3
-    calls = {"add_batch": 0, "evaluate": 0}
+    return m
 
-    def counted(cls, name):
-        inner = getattr(cls, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(FiniteModel, "add_batch")
-    counted(_Ring, "evaluate")
+def test_p_rank_evaluation_count(monkeypatch):
+    # [DERIVED] p = 31 = 0b11111: 4 doublings and 4 additions.  One power
+    # table of the residues, one contraction of the diagonal for the
+    # doubling map and one G table; a doubling is a lookup, so nothing is
+    # evaluated, and at most popcount - 1 = 4 additions contract G
+    m, p = _p31_model(), 31
+    calls = _recorded(monkeypatch, "powers", "contract", "contract_triangle",
+                      "evaluate")
     m.p_rank()
-    p = 31
-    assert 0 < calls["add_batch"] <= bin(p).count("1") - 1
-    assert calls["evaluate"] <= p.bit_length() + bin(p).count("1") - 1
+    names = [name for name, _ in calls]
+    assert names.count("evaluate") == 0
+    tables = [args[0] for name, args in calls if name == "powers"]
+    assert len(tables) == 1 and tables[0] is m.residues
+    assert names.count("contract_triangle") == 1
+    contracted = [args for name, args in calls if name == "contract"]
+    assert sum(C is m.diag and P is m.residue_powers
+               for C, P in contracted) == 1
+    additions = [C for C, _ in contracted if C.shape == m.residue_powers.shape]
+    assert 0 < len(additions) <= bin(p).count("1") - 1
+    assert len(contracted) == 1 + len(additions)
 
 
 def test_kernel_count_evaluation_count(monkeypatch):
     # [DERIVED] [p](T) takes the ladder of p_rank on series: for
-    # p = 31 = 0b11111, 4 doublings and 4 additions of T, then one
-    # evaluation at the residues, so bit_length + popcount - 1 = 9 in all
-    field = LocalField.eisenstein(31, (-31, 0, 1), 8)
-    m = finite_model(random_normalized_curve(field, random.Random(31)), 3)
-    evaluate, calls = _Ring.evaluate, []
-    monkeypatch.setattr(_Ring, "evaluate", lambda *args, **kwargs: (
-        calls.append(1) or evaluate(*args, **kwargs)))
+    # p = 31 = 0b11111, 4 doublings and 4 additions of T, so at most
+    # bit_length + popcount - 2 = 8 series evaluations, then one
+    # contraction with the residues' power table, which p_rank shares
+    m, p = _p31_model(), 31
+    calls = _recorded(monkeypatch, "powers", "contract", "evaluate")
     m.kernel_count()
-    p = 31
-    assert len(calls) <= p.bit_length() + bin(p).count("1") - 1
+    m.p_rank()
+    assert sum(name == "powers" and args[0] is m.residues
+               for name, args in calls) == 1
+    evaluations = [args for name, args in calls if name == "evaluate"]
+    assert all(args[2:] == (True,) for args in evaluations)  # series only
+    assert len(evaluations) <= p.bit_length() + bin(p).count("1") - 2
+    assert sum(name == "contract" and args[0] is m.mult_p_series()
+               and args[1] is m.residue_powers for name, args in calls) == 1
