@@ -21,7 +21,8 @@ import sys
 
 from .classifier import classify_general
 from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
-                    psi_E0, reduce_point, reduction_type, filtration_level)
+                    psi_E0, reduce_point, reduction_type, filtration_level,
+                    require_additive)
 from .formal_group import (G_TABLE, generic_group_law, generic_mult_by_n,
                            t_of_multiple)
 from .local_field import LocalField, PrecisionExhausted
@@ -137,9 +138,7 @@ def _curve(input, precision):
 def classify(input, precision, as_json):
     """Classify E_0(K) for the descriptor in INPUT (path or '-')."""
     _, E = _curve(input, precision)
-    rt = reduction_type(E)
-    if rt.tag != "additive":
-        raise ValueError(f"reduction type: {rt.tag} (additive required)")
+    require_additive(reduction_type(E))
     report = classify_general(E)
     tag = "certified" if report.certified else "exploratory"
     _emit(report.to_json(),

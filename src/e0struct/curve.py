@@ -98,9 +98,6 @@ class WeierstrassCurve:
         lhs = y * y + a1 * x * y + a3 * y
         return lhs - self.rhs(x)
 
-    def contains(self, P: "CurvePoint") -> bool:
-        return P.is_infinity or self.equation_residual(P).is_zero_at_precision()
-
     def point(self, x, y) -> "CurvePoint":
         return CurvePoint(_embed_k(self.field, x), _embed_k(self.field, y))
 
@@ -181,6 +178,14 @@ def reduction_type(E: WeierstrassCurve) -> ReductionType:
     if E._reduction is None:
         E._reduction = _reduction_type(E)
     return E._reduction
+
+
+def require_additive(rt: ReductionType) -> ReductionType:
+    """rt when it is additive; else the refusal that every command gives
+    for a curve whose reduction is not additive."""
+    if rt.tag != "additive":
+        raise ValueError(f"reduction type: {rt.tag} (additive required)")
+    return rt
 
 
 def _reduction_type(E):
@@ -267,9 +272,7 @@ def normalize_additive(E: WeierstrassCurve):
     X = X' + r, Y = Y' + t with (r, t) the cusp gives a'_1 = a1 and
     a'_2 = a2 + 3r; the tangent's slope s is then the double root of
     z^2 + a'_1 z - a'_2 mod m, and the one change (r, s, t) does both."""
-    rt = reduction_type(E)
-    if rt.tag != "additive":
-        raise ValueError(f"reduction type: {rt.tag}; additive required")
+    rt = require_additive(reduction_type(E))
     f = E.field
     x0, y0 = rt.singular_point
     r = f.element(x0.coeffs)

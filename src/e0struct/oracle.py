@@ -3,17 +3,20 @@ sum F on O_K/m_K^M, its p-rank and its [p]-kernel count, compared
 against a classification report.
 
 The group law here is rebuilt numerically per curve (numpy integer
-arithmetic over O_K/p^k), sharing no series code with formal_group.
-The two counts check each other: one double-and-add ladder over the
-bits of p runs on points in p_rank (p*x at every residue) and on series
-in kernel_count ([p](T), then evaluated at every residue), and the
-tests compare that [p](T) with the engine's.  Both counts contract with
-one power table x^0 ... x^D of the residues.  On points the ladder runs
-on row indices of the residues: a doubling is a lookup in the doubling
-map x -> F(x, x), computed once from the diagonal, and an addition of x
+arithmetic over O_K/p^k), sharing no series code with formal_group:
+the chord through two points of the w-series and its third point's
+negation, both over the chord's denominator, so that F takes one Newton
+inversion.  The two counts check each other: one double-and-add ladder
+over the bits of p runs on points in p_rank (p*x at every residue) and
+on series in kernel_count ([p](T), then evaluated at every residue),
+and the tests compare that [p](T) with the engine's.  Both counts
+contract with one power-major table x^0 ... x^D of the residues, one
+contiguous block per power.  On points the ladder runs on row indices
+of the residues: a doubling is a lookup in the doubling map
+x -> F(x, x), computed once from the diagonal, and an addition of x
 contracts the table G_i(x) = sum_j F[i][j] x^j with the power-table
-rows of the running sum.  All arithmetic runs through the primitives of
-_Ring (a ring product, a truncated series product, a power table and
+columns of the running sum.  All arithmetic runs through the primitives
+of _Ring (a ring product, a truncated series product, a power table and
 its contractions), whose worst-case int64 intermediate is checked
 before a model is built."""
 
@@ -83,11 +86,16 @@ class _Ring:
         contract_triangle.  Each of the d-1 reduction steps by the defining
         polynomial grows the magnitude by at most a factor 1 + H, H its
         largest lower coefficient.  Every factor lies in [0, q), so this
-        covers each product a model makes: the chord's and the negation's
-        series_mul (t3 by the unit inverse) and mul (a1 t3, a3 w3),
-        invert_unit (2 - az is reduced first), the power tables, and every
-        contraction: a row of the triangular G table (D + 1 - i terms), an
-        addition of a point (G against the gathered power-table rows of
+        covers each product a model makes.  The chord: series_mul for
+        lam^2, lam^2 (a4 + a6 lam) and nu (a2 + 2 a4 lam + 3 a6 lam^2), and
+        mul by the a_j, each sum reduced before it is multiplied.  The
+        one denominator: N = B + (S + T) A (reduced before it is
+        multiplied), series_mul for lam N and nu A, mul by a1 and by a3 (of
+        lam N - nu A, reduced first), invert_unit (2 - az is reduced
+        first) on A + a1 N + a3 (lam N - nu A), and series_mul of N by the
+        inverse.  Then the power tables, and every contraction over their
+        power axis: a row of the triangular G table (D + 1 - i terms), an
+        addition of a point (G against the power-table columns gathered at
         the running sum, D + 1 terms), the diagonal F(T, T) (up to D+1
         entries below q per coefficient, reduced mod q first) and [p](T)
         at the residues' power table, and the doublings and additions of
@@ -153,10 +161,8 @@ class _Ring:
 
     def powers(self, X, D, series=False):
         """The power table X^0 ... X^D of ring elements X (..., d), or of
-        one truncated series X, with the power axis in front of the
-        coordinate axis: (..., D+1, d).  It takes D - 1 products (mul or
-        series_mul), built power by power in contiguous blocks and
-        transposed once at the end."""
+        one truncated series X, power-major: (D+1, ..., d), each power one
+        contiguous block.  It takes D - 1 products (mul or series_mul)."""
         P = np.zeros((D + 1,) + X.shape, dtype=np.int64)
         if series:
             P[(0,) * P.ndim] = 1
@@ -166,35 +172,35 @@ class _Ring:
         product = self.series_mul if series else self.mul
         for j in range(2, D + 1):
             P[j] = product(P[j - 1], P[1])
-        return np.ascontiguousarray(np.moveaxis(P, 0, -2))
+        return P
 
     def contract(self, C, P):
-        """sum_j C[..., j, :] P[..., j, :] over the power axis of a power
-        table P, summed before the one reduction.  The other leading axes
-        of C broadcast against those of P, so C[:, None] gives one
-        polynomial per row of C at every point of P."""
+        """sum_j C[j] P[j] over the power axis, the first axis of both the
+        coefficients C (D+1, ..., d) and a power table P, summed before
+        the one reduction.  The other axes of C broadcast against those of
+        P, so C[:, :, None] gives one polynomial per column of C at every
+        point of P."""
         return self._product(lambda a, b: np.einsum(
-            "...j,...j->...", C[..., a], P[..., b]))
+            "j...,j...->...", C[..., a], P[..., b]))
 
     def contract_triangle(self, C, P):
-        """sum_{j <= D-i} C[i, j] P[:, j] for every row i of a coefficient
+        """sum_{j <= D-i} C[i, j] P[j] for every row i of a coefficient
         square C (D+1, D+1, d) truncated at total degree D, at the points
-        whose power table is P (N, D+1, d); returns (N, D+1, d).  Row i
-        stops at column D - i, so the triangle is half the square.  Each
-        coordinate of P is contracted as a contiguous (D+1, N) block."""
+        whose power table is P (D+1, N, d); returns (D+1, N, d), each row
+        i one contiguous (N, d) block.  Row i stops at column D - i, so
+        the triangle is half the square."""
         D = C.shape[0] - 1
-        Pt = [np.ascontiguousarray(P[..., b].T) for b in range(self.d)]
         out = np.empty_like(P)
         for i in range(D + 1):
             n = D + 1 - i
-            out[:, i] = self._product(lambda a, b: C[i, :n, a] @ Pt[b][:n])
+            out[i] = self._product(lambda a, b: C[i, :n, a] @ P[:n, :, b])
         return out
 
     def evaluate(self, C, X, series=False):
-        """sum_j C[..., j] X^j at ring elements X, or at one truncated
-        series X: the contraction of the coefficient rows C (..., D+1, d)
-        with the power table of X."""
-        return self.contract(C, self.powers(X, C.shape[-2] - 1, series))
+        """sum_j C[j] X^j at ring elements X, or at one truncated series
+        X: the contraction of the coefficients C (D+1, ..., d) with the
+        power table of X."""
+        return self.contract(C, self.powers(X, C.shape[0] - 1, series))
 
     def invert_unit(self, A):
         """Inverse of a series with constant term 1, by Newton iteration
@@ -234,9 +240,11 @@ def _numeric_w(ring, a, D):
 
 
 def _numeric_chord(ring, a, D):
-    """The third point (t3, w3) of the chord through (S, w(S)) and
-    (T, w(T)), as series (D+1, D+1, d) mod p^kd truncated at total
-    degree D."""
+    """The chord through (S, w(S)) and (T, w(T)), as series
+    (D+1, D+1, d) mod p^kd truncated at total degree D: its slope lam,
+    its intercept nu, and the coefficients A of t^3 and B of t^2 in the
+    cubic that w = lam t + nu makes of the w-equation.  The cubic's roots
+    are S, T and the chord's third point t3 = -B/A - S - T."""
     a1, a2, a3, a4, a6 = a
     q, mul, smul = ring.q, ring.mul, ring.series_mul
     w = _numeric_w(ring, a, D + 1)
@@ -249,26 +257,37 @@ def _numeric_chord(ring, a, D):
     inner = kept & ((i[:, None] > 0) & (i > 0))[..., None]
     nu = np.where(inner, -w[np.minimum(deg, D + 1)], 0) % q
     lam2 = smul(lam, lam)
-    lamnu = smul(lam, nu)
-    B = (mul(lam, a1) + mul(lam2, a3) + mul(nu, a2)
-         + mul(lamnu, 2 * a4 % q) + mul(smul(lam, lamnu), 3 * a6 % q)) % q
-    A = mul(lam, a2) + mul(lam2, a4) + mul(smul(lam2, lam), a6)
+    # A = 1 + a2 lam + lam^2 (a4 + a6 lam)
+    u = mul(lam, a6)
+    u[0, 0] += a4
+    A = mul(lam, a2) + smul(lam2, u % q)
     A[0, 0, 0] += 1
-    t3 = -smul(B, ring.invert_unit(A % q))
-    t3[1, 0, 0] -= 1
-    t3[0, 1, 0] -= 1
-    t3 %= q
-    return t3, (smul(lam, t3) + nu) % q
+    # B = a1 lam + a3 lam^2 + nu (a2 + 2 a4 lam + 3 a6 lam^2)
+    v = mul(lam, 2 * a4 % q) + mul(lam2, 3 * a6 % q)
+    v[0, 0] += a2
+    B = mul(lam, a1) + mul(lam2, a3) + smul(nu, v % q)
+    return lam, nu, A % q, B % q
 
 
 def _numeric_F(ring, a, D):
     """The group law F(T1, T2) mod p^kd, truncated at total degree D, as
     an array (D+1, D+1, d): the chord's third point negated,
-    F = -t3 (1 - a1 t3 - a3 w3)^{-1}."""
-    t3, w3 = _numeric_chord(ring, a, D)
-    den = -(ring.mul(t3, a[0]) + ring.mul(w3, a[2]))
-    den[0, 0, 0] += 1
-    return -ring.series_mul(t3, ring.invert_unit(den % ring.q)) % ring.q
+    F = -t3 (1 - a1 t3 - a3 w3)^{-1} with w3 = lam t3 + nu.  Over the
+    chord's denominator A, t3 = -N/A with N = B + (S + T) A, so
+    F = N (A + a1 N + a3 (lam N - nu A))^{-1}: one unit inversion, as N,
+    lam and nu have no constant term."""
+    q, mul, smul = ring.q, ring.mul, ring.series_mul
+    lam, nu, A, B = _numeric_chord(ring, a, D)
+    # (S + T) A shifts A one degree up in each variable; its degree-D
+    # terms would land past the truncation
+    i = np.arange(D + 1)
+    A_low = np.where((i[:, None] + i < D)[..., None], A, 0)
+    N = B.copy()
+    N[1:] += A_low[:-1]
+    N[:, 1:] += A_low[:, :-1]
+    N %= q
+    den = A + mul(N, a[0]) + mul((smul(lam, N) - smul(nu, A)) % q, a[2])
+    return smul(N, ring.invert_unit(den % q))
 
 
 class FiniteModel:
@@ -330,7 +349,7 @@ class FiniteModel:
 
     @functools.cached_property
     def residue_powers(self):
-        """x^0 ... x^D at every residue x, (order, D+1, d): the one power
+        """x^0 ... x^D at every residue x, (D+1, order, d): the one power
         table that p_rank and kernel_count contract with."""
         return self.ring.powers(self.residues, self.D)
 
@@ -364,12 +383,13 @@ class FiniteModel:
         O_K, so z + x depends only on the residues of z and x: a doubling
         is a lookup in the doubling map x -> F(x, x), contracted once from
         the diagonal, and an addition of x contracts the G table of the
-        residues with the power-table rows of z."""
+        residues with the power-table columns gathered at z."""
         ring, P = self.ring, self.residue_powers
         dbl = self.index(ring.contract(self.diag, P))
         G = ring.contract_triangle(self.F, P) if self.field.p > 2 else None
-        return self._times_p(np.arange(self.order), lambda z: dbl[z],
-                             lambda z: self.index(ring.contract(G, P[z])))
+        return self._times_p(
+            np.arange(self.order), lambda z: dbl[z],
+            lambda z: self.index(ring.contract(G, np.take(P, z, axis=1))))
 
     def p_rank(self):
         """log_p #{x : p*x = 0}, with p*x from p_multiples."""
@@ -389,10 +409,9 @@ class FiniteModel:
         G_j(u) = sum_i F[i][j] u^i."""
         if self._mp_coeffs is None:
             D, ring = self.D, self.ring
-            C = self.F.transpose(1, 0, 2)[:, None]
 
             def add_t(u):
-                G = ring.evaluate(C, u, series=True)
+                G = ring.evaluate(self.F[:, :, None], u, series=True)
                 v = np.zeros_like(u)
                 for j in range(D + 1):
                     v[j:] += G[j, :D + 1 - j]

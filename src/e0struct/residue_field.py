@@ -204,11 +204,6 @@ class FiniteField:
     def one(self):
         return self.element(1)
 
-    @property
-    def gen(self):
-        """Class of X; a root of the modulus (not 1 unless n == 1)."""
-        return self.element([0, 1])
-
     def prime_field(self) -> "FiniteField":
         return self if self.n == 1 else FiniteField(self.p, 1)
 

@@ -306,10 +306,6 @@ class Series:
             out[key] = s
         return Series(self.nvars, self.trunc, out)
 
-    def truncate(self, D):
-        return Series(self.nvars, min(self.trunc, D),
-                      {k: v for k, v in self.c.items() if sum(k) <= D})
-
     # -- multiplicative structure -------------------------------------------
 
     def __mul__(self, other):

@@ -7,7 +7,8 @@ import pytest
 from e0struct.cli import main
 from e0struct.curve import INFINITY, CurvePoint, WeierstrassCurve
 from e0struct.local_field import LocalField, PrecisionExhausted
-from e0struct.series import WPoly, key_weight
+from e0struct.residue_field import FiniteField
+from e0struct.series import Series, WPoly, key_weight
 
 
 def make_curve(field, a):
@@ -104,6 +105,24 @@ def point_mul(E: WeierstrassCurve, m: int, P: CurvePoint) -> CurvePoint:
         if m:
             base = point_add(E, base, base)
     return result
+
+
+def contains(E: WeierstrassCurve, P: CurvePoint) -> bool:
+    """P lies on E to the working precision."""
+    return P.is_infinity or E.equation_residual(P).is_zero_at_precision()
+
+
+# -- test-only helpers on fields and series --------------------------------
+
+def field_gen(k: FiniteField):
+    """The class of X in k = F_p[X]/(modulus), a root of the modulus."""
+    return k.element([0, 1])
+
+
+def truncate(s: Series, D) -> Series:
+    """s with its terms of total degree above D dropped."""
+    return Series(s.nvars, min(s.trunc, D),
+                  {k: v for k, v in s.c.items() if sum(k) <= D})
 
 
 # -- structure of WPoly coefficients --------------------------------------

@@ -57,12 +57,20 @@ def test_classify_exploratory_exit_code(tmp_path):
     assert "ramified-exploratory, exploratory" in res.output
 
 
+MULTIPLICATIVE_DESC = {"p": 5, "field": {"kind": "unramified", "n": 1},
+                       "a": [0, 1, 0, 0, 5], "precision": 12}
+# the one refusal text of every command on a curve that is not additive
+NOT_ADDITIVE = "error: reduction type: multiplicative (additive required)\n"
+
+
 def test_classify_rejects_multiplicative(tmp_path):
-    desc = {"p": 5, "field": {"kind": "unramified", "n": 1},
-            "a": [0, 1, 0, 0, 5], "precision": 12}
-    res = run_cli(["classify", write_desc(tmp_path, desc)])
-    assert res.exit_code == 1
-    assert "reduction type: multiplicative (additive required)" in res.stderr
+    res = run_cli(["classify", write_desc(tmp_path, MULTIPLICATIVE_DESC)])
+    assert (res.exit_code, res.stderr) == (1, NOT_ADDITIVE)
+
+
+def test_normalize_rejects_multiplicative_as_classify_does(tmp_path):
+    res = run_cli(["normalize", write_desc(tmp_path, MULTIPLICATIVE_DESC)])
+    assert (res.exit_code, res.stderr) == (1, NOT_ADDITIVE)
 
 
 def test_classify_schema_error(tmp_path):

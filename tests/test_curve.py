@@ -13,8 +13,8 @@ from e0struct.formal_group import t_of_multiple
 from e0struct.local_field import LocalField, PrecisionExhausted
 from e0struct.residue_field import FiniteField, frobenius_inverse
 
-from conftest import (FIXTURE_COEFFS, make_curve, point_add, point_mul,
-                      point_neg)
+from conftest import (FIXTURE_COEFFS, contains, make_curve, point_add,
+                      point_mul, point_neg)
 
 
 def test_invariants_fixture(Q2):
@@ -76,9 +76,9 @@ def test_transform_point_roundtrip(Q2):
     E = make_curve(Q2, FIXTURE_COEFFS["E2"][1])
     tr = Transform(Q2, 3, 1, -2)
     P = E.point(1, -1)
-    assert E.contains(P)
+    assert contains(E, P)
     Q = tr.forward(P)
-    assert tr.apply(E).contains(Q)
+    assert contains(tr.apply(E), Q)
     # X = X' + r, Y = Y' + s X' + t is the transform (-r, -s, rs - t)
     back = Transform(Q2, -3, -1, 5).forward(Q)
     assert (back.x - P.x).is_zero_at_precision()
@@ -91,7 +91,7 @@ def test_two_torsion_arithmetic(Q2):
     E = make_curve(Q2, FIXTURE_COEFFS["E8"][1])
     P, Q, R = E.point(0, 0), E.point(2, 0), E.point(4, 0)
     for pt in (P, Q, R):
-        assert E.contains(pt)
+        assert contains(E, pt)
         assert point_add(E, pt, pt).is_infinity
     S = point_add(E, P, Q)
     assert (S.x - R.x).is_zero_at_precision()
@@ -102,7 +102,7 @@ def test_point_mul_torsion(Q2):
     # [PAPER] (1, -1) is 2-torsion on Y^2 + 2Y = X^3 - 2
     E = make_curve(Q2, FIXTURE_COEFFS["E2"][1])
     P = E.point(1, -1)
-    assert E.contains(P)
+    assert contains(E, P)
     assert point_mul(E, 2, P).is_infinity
     assert point_add(E, P, point_neg(E, P)).is_infinity
 
@@ -143,7 +143,7 @@ def test_filtration_positive_level(Q3):
     assert (w * w - 2431) % mod == 0
     from fractions import Fraction
     P = E.point(Fraction(1, 9), Fraction(w, 27))
-    assert E.contains(P)
+    assert contains(E, P)
     assert filtration_level(E, P) == 1
     assert psi_E0(E, P).valuation() == 1
     assert psi_E0(E, P).reduce() == Q3.residue.zero
@@ -159,7 +159,8 @@ def test_not_in_e0_raises(Q2):
 
 def test_normalize_rejects_multiplicative(Q5):
     E = make_curve(Q5, (0, 1, 0, 0, 5))
-    with pytest.raises(ValueError, match="multiplicative"):
+    with pytest.raises(ValueError, match=r"^reduction type: multiplicative "
+                       r"\(additive required\)$"):
         normalize_additive(E)
 
 

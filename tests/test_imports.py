@@ -92,6 +92,18 @@ def test_affine_group_law_lives_in_the_tests():
     assert moved.isdisjoint(e0struct.__all__)
 
 
+def test_test_only_methods_live_in_the_tests():
+    # [DERIVED] these methods had no caller in src/; their test callers
+    # use the helpers of the same names in conftest.py
+    methods = {(cls.name, f.name) for path in PACKAGE.glob("*.py")
+               for cls in ast.walk(ast.parse(path.read_text()))
+               if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)}
+    moved = {("WeierstrassCurve", "contains"), ("FiniteField", "gen"),
+             ("Series", "truncate")}
+    assert methods & moved == set()
+
+
 def _called_names():
     """The names that some call in src/ reaches, as f(...) or x.f(...)."""
     called = set()
@@ -117,7 +129,7 @@ def _tracer():
 def test_trace_targets_without_a_caller_in_src():
     # [DERIVED] the benchmark times these names although nothing in src/
     # calls them, so their metrics read 0; they stay in src/ only for the
-    # tracer (ROADMAP item 6).  Operators reach the dunder targets.  A new
+    # tracer (ROADMAP item 5, the trace spine).  Operators reach the dunder targets.  A new
     # orphan, or one that gains a caller or leaves, fails here
     called = _called_names()
     tracer = _tracer()

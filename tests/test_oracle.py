@@ -260,7 +260,8 @@ def test_evaluate_matches_horner():
     rng = np.random.default_rng(1)
     C = rng.integers(0, ring.q, size=(4, 9, ring.d), dtype=np.int64)
     X = rng.integers(0, ring.q, size=(5, ring.d), dtype=np.int64)
-    got = ring.evaluate(C[:, None], X)
+    # coefficients power-major: one polynomial per column
+    got = ring.evaluate(C.transpose(1, 0, 2)[:, :, None], X)
     for r in range(4):
         for n in range(5):
             acc = [0] * ring.d
@@ -275,8 +276,9 @@ def test_evaluate_matches_horner():
 
 def _full_square_g_table(m, Y):
     """G_i(y) = sum_j F[i][j] y^j over the whole (D+1) x (D+1) square of F
-    in one contraction, in the layout of _Ring.contract_triangle."""
-    return m.ring.evaluate(m.F[:, None], Y).transpose(1, 0, 2)
+    in one contraction, in the layout (D+1, N, d) of
+    _Ring.contract_triangle."""
+    return m.ring.evaluate(m.F.transpose(1, 0, 2)[:, :, None], Y)
 
 
 def _p_fold_reference(m):
@@ -292,7 +294,9 @@ def _p_fold_reference(m):
 
 def _F_by_inverse_series(m):
     """F = i(t3): the series i(t) = t (-1 + a1 t + a3 w(t))^{-1} evaluated
-    at t3 through a power table of bivariate series products."""
+    at t3 through a power table of bivariate series products, with the
+    chord's third point t3 = -B A^{-1} - S - T formed here from its own
+    inversion of A, not from the model's common denominator."""
     ring, D = m.ring, m.D
     q = ring.q
     a = np.array([[c % q for c in ai.coeffs] for ai in m.E.a],
@@ -304,8 +308,11 @@ def _F_by_inverse_series(m):
     inv = -ring.invert_unit(neg_den % q) % q
     i_coeffs = np.zeros_like(inv)
     i_coeffs[1:] = inv[:-1]
-    t3, _ = _numeric_chord(ring, a, D)
-    return ring.evaluate(i_coeffs, t3, series=True)
+    _, _, A, B = _numeric_chord(ring, a, D)
+    t3 = -ring.series_mul(B, ring.invert_unit(A))
+    t3[1, 0, 0] -= 1
+    t3[0, 1, 0] -= 1
+    return ring.evaluate(i_coeffs, t3 % q, series=True)
 
 
 def _cubic_eisenstein_curve():
@@ -349,6 +356,18 @@ def test_double_and_add_and_negation_match_references(name):
     assert m.residues.tolist() == [
         list(r) for r in itertools.product(*(range(k) for k in m.moduli))]
     assert np.array_equal(m.index(m.residues), np.arange(m.order))
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_MODELS))
+def test_model_build_inverts_one_unit(name, monkeypatch):
+    # [DERIVED] t3 and the negation share the chord's denominator, so a
+    # model build runs one Newton inversion; the residues' power table is
+    # power-major, one contiguous (order, d) block per power
+    calls = _recorded(monkeypatch, "invert_unit")
+    m = _reference_model(name)
+    assert len(calls) == 1
+    assert m.residue_powers.shape == (m.D + 1, m.order, m.ring.d)
+    assert m.residue_powers.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_MODELS))
