@@ -137,10 +137,6 @@ class LocalField:
         """Integer (p-adic) precision needed to hold elements mod m_K^prec."""
         return -(-prec // self.e)
 
-    def coeff_modulus(self, i, prec):
-        """Modulus for coefficient i of an element known mod m_K^prec."""
-        return self.coeff_moduli(prec)[i]
-
     def coeff_moduli(self, prec):
         """The coefficient moduli of an element known mod m_K^prec,
         computed once per prec: coefficient i, on a basis vector of
@@ -211,7 +207,7 @@ class LocalField:
             y = self._times(y, self.pi_power(s))
         x_prec = max(prec, v + 1) + s
         pk = self.p ** k
-        w = pow(den // pk, -1, self.coeff_modulus(0, x_prec))
+        w = pow(den // pk, -1, self.coeff_moduli(x_prec)[0])
         return KElement(OElement(self, [c // pk * w for c in y], x_prec), s)
 
     def embed_integral_rational(self, q, prec=None) -> "OElement":
@@ -472,7 +468,7 @@ class OElement:
         if any(c % q for c in y):
             # only possible through precision loss; treat as inexact zero digits
             raise PrecisionExhausted("division by uniformizer lost all digits")
-        s = pow(f._d_unit, -k, f.coeff_modulus(0, self.prec - k))
+        s = pow(f._d_unit, -k, f.coeff_moduli(self.prec - k)[0])
         return OElement(f, [c // q * s for c in y], self.prec - k)
 
     def shift_up(self, k: int) -> "OElement":

@@ -299,7 +299,7 @@ class FiniteModel:
             raise ValueError("finite_model requires a normalized curve")
         self.E, self.field, self.M = E, field, M
         p, d = field.p, field.deg
-        self.moduli = [field.coeff_modulus(i, M) for i in range(d)]
+        self.moduli = field.coeff_moduli(M)
         order = math.prod(self.moduli)
         if order > SIZE_BOUND:
             raise ModelTooLarge(f"|O_K/m^{M}| = {order} > {SIZE_BOUND}")
@@ -353,13 +353,11 @@ class FiniteModel:
         table that p_rank and kernel_count contract with."""
         return self.ring.powers(self.residues, self.D)
 
-    def add_batch(self, X, Y, G=None):
+    def add_batch(self, X, Y):
         """F(x, y) = sum_i G_i(y) x^i for paired rows of X and Y
         (coordinates mod p^(kd+2)), with the table
-        G_i(y) = sum_{j <= D-i} F[i][j] y^j given or contracted from F."""
-        if G is None:
-            G = self.ring.contract_triangle(self.F,
-                                            self.ring.powers(Y, self.D))
+        G_i(y) = sum_{j <= D-i} F[i][j] y^j contracted from F."""
+        G = self.ring.contract_triangle(self.F, self.ring.powers(Y, self.D))
         return self.ring.evaluate(G, X)
 
     def is_zero(self, X):
@@ -484,9 +482,18 @@ def finite_model(E, M) -> FiniteModel:
 
 
 def compare(E, report, M):
-    """Verdict dict comparing a certified report against the oracle."""
+    """Verdict dict comparing a certified report against the oracle.
+    A certified report has e = 1 or 6e < p - 1, and there [p] maps the
+    formal group's m^r onto m^(r+e) for r >= 1 (AEC IV.6.4; for e = 1
+    because each b_i, i >= 2, of [p](T) lies in m).  So m^M lies in
+    p E_0(K) from M0 = 1 + e on, and only there does the p-rank of
+    O_K/m^M read that of E_0(K)."""
     if not report.certified:
         raise ValueError("compare requires a certified report")
+    M0 = 1 + E.field.e
+    if M < M0:
+        raise ValueError(f"level M = {M} is below M0 = 1 + e = {M0}, "
+                         f"so the oracle's count decides nothing")
     model = finite_model(E, M)
     predicted = report.structure.free_rank + report.structure.torsion_rank
     rank = model.p_rank()

@@ -10,6 +10,9 @@ Coefficients in O_K (OElements, with ints beside them) are summed by
 the kernel LocalField.dot, which adds the raw integer products, reduces
 once and builds one OElement; others by a plain fold.  dot and
 invert_unit sum their coefficients the same way.
+The Series constructor is the one place that truncates and drops
+exact zeros (_is_zero_coeff): +, add_const and map_coeffs hand it
+their raw sums and images.
 """
 
 from __future__ import annotations
@@ -42,6 +45,28 @@ def unpack(key: int):
 
 def key_weight(key: int) -> int:
     return sum(w * e for w, e in zip(WEIGHTS, unpack(key)))
+
+
+def _sum_text(terms, names):
+    """The sum of the ordered terms (exponents, coefficient text) in the
+    variables names: a coefficient 1 or -1 shrinks to its sign before a
+    monomial, and a negative term joins with ' - '."""
+    parts = []
+    for exps, coeff in terms:
+        mono = "*".join(f"{n}^{e}" if e > 1 else n
+                        for n, e in zip(names, exps) if e)
+        if not mono:
+            parts.append(coeff)
+        elif coeff in ("1", "-1"):
+            parts.append(coeff[:-1] + mono)
+        else:
+            parts.append(f"{coeff}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for s in parts[1:]:
+        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+    return out
 
 
 class WPoly:
@@ -144,29 +169,10 @@ class WPoly:
         return ((unpack(k), v) for k, v in self.d.items())
 
     def pretty(self):
-        names = ("a1", "a2", "a3", "a4", "a6")
-        if not self.d:
-            return "0"
-        parts = []
-        for k in sorted(self.d, key=lambda k: (key_weight(k),
-                                               tuple(-e for e in unpack(k)))):
-            exps = unpack(k)
-            c = self.d[k]
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(names, exps) if e)
-            if mono:
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-            else:
-                parts.append(str(c))
-        out = parts[0]
-        for s in parts[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        order = sorted(self.d, key=lambda k: (key_weight(k),
+                                              tuple(-e for e in unpack(k))))
+        return _sum_text(((unpack(k), str(self.d[k])) for k in order),
+                         ("a1", "a2", "a3", "a4", "a6"))
 
 
 A1, A2, A3, A4, A6 = (WPoly.var(i) for i in (1, 2, 3, 4, 6))
@@ -270,16 +276,10 @@ class Series:
         if not isinstance(other, Series):
             return self.add_const(other)
         self._check(other)
-        D = min(self.trunc, other.trunc)
-        out = {k: v for k, v in self.c.items() if sum(k) <= D}
+        out = dict(self.c)
         for k, v in other.c.items():
-            if sum(k) <= D:
-                s = out.get(k, 0) + v
-                if _is_zero_coeff(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return Series(self.nvars, D, out)
+            out[k] = out.get(k, 0) + v
+        return Series(self.nvars, min(self.trunc, other.trunc), out)
 
     def __neg__(self):
         return Series(self.nvars, self.trunc, {k: -v for k, v in self.c.items()})
@@ -298,13 +298,8 @@ class Series:
 
     def add_const(self, v):
         key = (0,) * self.nvars
-        out = dict(self.c)
-        s = out.get(key, 0) + v
-        if _is_zero_coeff(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-        return Series(self.nvars, self.trunc, out)
+        return Series(self.nvars, self.trunc,
+                      {**self.c, key: self.c.get(key, 0) + v})
 
     # -- multiplicative structure -------------------------------------------
 
@@ -387,12 +382,8 @@ class Series:
         return Series(1, self.trunc + 1, out)
 
     def map_coeffs(self, fn):
-        out = {}
-        for k, v in self.c.items():
-            w = fn(v)
-            if not _is_zero_coeff(w):
-                out[k] = w
-        return Series(self.nvars, self.trunc, out)
+        return Series(self.nvars, self.trunc,
+                      {k: fn(v) for k, v in self.c.items()})
 
     def evaluate_univar(self, x, one):
         """Horner evaluation of a univariate series at a ring element."""
@@ -408,29 +399,12 @@ class Series:
         return acc
 
     def pretty(self, names):
-        if not self.c:
-            return "0"
-        parts = []
-        for k in sorted(self.c, key=lambda k: (sum(k),
-                                               tuple(-e for e in k))):
-            v = self.c[k]
-            mono = "*".join(f"{n}^{e}" if e > 1 else n
-                            for n, e in zip(names, k) if e)
+        def text(v):
             coeff = v.pretty() if isinstance(v, WPoly) else str(v)
-            if " + " in coeff or " - " in coeff:
-                coeff = f"({coeff})"
-            if not mono:
-                parts.append(coeff)
-            elif coeff == "1":
-                parts.append(mono)
-            elif coeff == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        out = parts[0]
-        for s in parts[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+            return f"({coeff})" if " + " in coeff or " - " in coeff else coeff
+
+        order = sorted(self.c, key=lambda k: (sum(k), tuple(-e for e in k)))
+        return _sum_text(((k, text(self.c[k])) for k in order), names)
 
 
 def _monomials(nvars, d):

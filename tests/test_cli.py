@@ -182,6 +182,21 @@ def test_verify_point_low_precision_congruence_is_not_torsion(tmp_path, precisio
                           "(mod m^12)\n")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a torsion label "
+                   "needs a witness, not a congruence mod m^precision")
+@pytest.mark.parametrize("precision", [2, 3])
+def test_verify_point_low_precision_descriptor_is_not_torsion(precision):
+    # (-11, 38) on E5 has infinite order, but [5](T) = 0 mod m for every
+    # T in m: with the descriptor itself known only mod m^2 (m^3), the
+    # [5] ([25]) congruence holds at every precision it can check, and the
+    # point is labelled 5-torsion (25-torsion)
+    desc = dict(E5_DESC, precision=precision, points=[{"x": -11, "y": 38}])
+    res = run_cli(["verify-point", "-", "--precision", str(precision)],
+                  input=json.dumps(desc))
+    assert res.exit_code == 0
+    assert "5-torsion" not in res.output
+
+
 def _times_over_q(a, n, P):
     """[n]P on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q, by
     the chord-tangent formulas in Fractions, for P of infinite order."""
@@ -369,14 +384,14 @@ def test_internal_inconsistency_is_a_clean_error(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, desc, message", [
-    (["oracle", "-", "-m", "1"],
+    (["oracle", "-", "-m", "2"],
      {"p": 1087, "field": {"kind": "unramified", "n": 1},
       "a": [1087] * 5, "precision": 4},
-     "error: "),
-], ids=["oracle-p1087-M1"])
+     "error: |O_K/m^2| = 1181569 > 65536"),
+], ids=["oracle-p1087-M2"])
 def test_internal_failure_is_a_clean_error(argv, desc, message):
-    # the p = 1087 model is refused because its worst-case intermediate
-    # exceeds int64
+    # the p = 1087 model at M = 2 (M0 = 2) is refused because it has more
+    # residues than the oracle's size bound
     res = run_cli(argv, input=json.dumps(desc))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
@@ -410,6 +425,22 @@ def test_out_of_range_option_is_an_error(argv, message):
     assert res.exit_code == 1
     assert res.stdout == json.dumps({"error": message}) + "\n"
     assert res.stderr == ""
+
+
+E10_DESC = {"p": 3, "field": {"kind": "unramified", "n": 1},
+            "a": [0, 0, 0, 0, 3], "precision": 12}
+
+
+@pytest.mark.parametrize("desc", [E5_DESC, E10_DESC],
+                         ids=["E5-torsion", "E10-torsion-free"])
+def test_oracle_refuses_a_level_below_m0(desc):
+    # [DERIVED] at M = 1 the model O_K/m has order p, so its verdict would
+    # read the report alone: fail with torsion, pass without
+    message = ("level M = 1 is below M0 = 1 + e = 2, so the oracle's "
+               "count decides nothing")
+    res = run_cli(["oracle", "-", "-m", "1"], input=json.dumps(desc))
+    assert (res.exit_code, res.stdout) == (1, "")
+    assert res.stderr == f"error: {message}\n"
 
 
 def _unnormalized(p, n, a, rst):

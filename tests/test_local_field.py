@@ -94,8 +94,7 @@ def test_kelement_pow(Q3):
 
 def test_eisenstein_coeff_moduli(K22):
     # [DERIVED] mod m^3 in Q_2(sqrt2): c0 mod 4, c1 mod 2
-    assert K22.coeff_modulus(0, 3) == 4
-    assert K22.coeff_modulus(1, 3) == 2
+    assert K22.coeff_moduli(3) == (4, 2)
 
 
 def test_element_to_json_roundtrip(Q3):

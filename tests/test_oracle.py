@@ -129,6 +129,18 @@ def test_compare_fail_with_witness(Q2, monkeypatch):
                for _, (C, P) in calls) == 1
 
 
+@pytest.mark.parametrize("name", ["E5", "E10"])
+def test_compare_refuses_a_level_below_m0(fixture_curves, name, monkeypatch):
+    # [DERIVED] e = 1, so M0 = 2; at M = 1 the model O_K/m has order p and
+    # p-rank 1, which fails E5 (Z_5 x Z/5Z) and passes E10 (Z_3) whatever
+    # the group is.  The refusal comes before any model is built
+    E = fixture_curves[name]
+    report = classify_general(E)
+    monkeypatch.setattr(oracle, "finite_model", None)
+    with pytest.raises(ValueError, match=r"M = 1 is below M0 = 1 \+ e = 2"):
+        compare(E, report, 1)
+
+
 def test_compare_requires_certified(Q2sqrt2):
     E = random_normalized_curve(Q2sqrt2, random.Random(0))
     report = classify_general(E)
@@ -183,8 +195,8 @@ def test_int64_bound_edge_at_level_one():
     with pytest.raises(ModelTooLarge):
         finite_model(make_curve(refused, (853,) * 5), 1)
     f = LocalField.unramified(839, 1, 4)
-    E = make_curve(f, (839,) * 5)
-    assert compare(E, classify_general(E), 1)["verdict"] == "pass"
+    m = finite_model(make_curve(f, (839,) * 5), 1)
+    assert (m.order, m.p_rank(), m.kernel_count()) == (839, 1, 839)
 
 
 def _poly_mul_mod(u, v, poly, q):
@@ -288,7 +300,7 @@ def _p_fold_reference(m):
     G = _full_square_g_table(m, X)
     Z = X.copy()
     for _ in range(m.field.p - 1):
-        Z = m.add_batch(Z, X, G=G)
+        Z = m.ring.evaluate(G, Z)
     return Z
 
 

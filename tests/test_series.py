@@ -47,8 +47,16 @@ def test_wpoly_evaluate():
 
 
 def test_wpoly_pretty_ordering():
-    p = WPoly.var(1) * WPoly.var(2) - 7 * WPoly.var(3)
-    assert p.pretty() == "a1*a2 - 7*a3"
+    # [TRIVIAL] by weight, the constant term first, then by descending
+    # exponents; a coefficient -1 shrinks to its sign
+    a1, a2, a3, a4, a6 = (WPoly.var(i) for i in (1, 2, 3, 4, 6))
+    for p, text in [
+            (a1 * a2 - 7 * a3, "a1*a2 - 7*a3"),
+            (WPoly(), "0"),
+            (Fraction(1, 2) * a1 * a1 - a2 + Fraction(3, 4) * a6 + 3,
+             "3 + 1/2*a1^2 - a2 + 3/4*a6"),
+            (a1 - Fraction(1, 3) * a4 - 5, "-5 + a1 - 1/3*a4")]:
+        assert p.pretty() == text
 
 
 def test_series_geometric_inverse():
