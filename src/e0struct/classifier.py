@@ -99,9 +99,6 @@ def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
     b, roots = additive_poly_roots(g)
     evidence = {"g": [list(c.coeffs) for c in g.coeffs],
                 "kernel_dim": b}
-    if p not in G_TABLE:  # g = T
-        return ClassificationReport(GroupStructure(p, n), "theorem-p>7",
-                                    evidence, certified=True)
     if p > 2:  # g = T - c*T^p has a nonzero root iff N_{k/F_p}(c) = 1
         c = -g.coeffs[1] if len(g.coeffs) > 1 else f.residue.zero
         norm_is_one = bool(c) and ff_norm(c).as_int() == 1

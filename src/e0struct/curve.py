@@ -1,8 +1,9 @@
 """Weierstrass models over O_K: invariants, reduction types, the
 normalization of Lemma-3.1 type (all a_i into m_K), the filtration,
 and the maps psi / reduction.
-The a_i (integral) and point coordinates are elements or anything
-LocalField.embed_rational reads: a rational or a coefficient vector."""
+The a_i are OElements and point coordinates KElements, or either is
+anything LocalField.embed_rational reads: a rational or a coefficient
+vector."""
 
 from __future__ import annotations
 
@@ -17,16 +18,12 @@ class NotInE0(ValueError):
 def _embed(field, v):
     if isinstance(v, OElement):
         return v
-    if isinstance(v, KElement):
-        return v.integral_part()
     return field.embed_integral_rational(v)
 
 
 def _embed_k(field, v):
     if isinstance(v, KElement):
         return v
-    if isinstance(v, OElement):
-        return v.as_k()
     return field.embed_rational(v)
 
 
@@ -57,26 +54,6 @@ class WeierstrassCurve:
         assert 4 * b8 == b2 * b6 - b44
         assert 1728 * self.disc == c4 * (c4 * c4) - c6 * c6
 
-    @property
-    def a1(self):
-        return self.a[0]
-
-    @property
-    def a2(self):
-        return self.a[1]
-
-    @property
-    def a3(self):
-        return self.a[2]
-
-    @property
-    def a4(self):
-        return self.a[3]
-
-    @property
-    def a6(self):
-        return self.a[4]
-
     def __repr__(self):
         return f"WeierstrassCurve({self.field!r}, a={list(self.a)})"
 
@@ -84,19 +61,12 @@ class WeierstrassCurve:
         """All a_i in m_K."""
         return all(ai.valuation_or_none() != 0 for ai in self.a)
 
-    def rhs(self, x):
-        a1, a2, a3, a4, a6 = self.a
-        return ((x + a2) * x + a4) * x + a6
-
     def equation_residual(self, P: "CurvePoint"):
-        """y^2 + a1 xy + a3 y - (x^3 + a2 x^2 + a4 x + a6); zero at
-        precision iff the point is on the curve."""
-        if P.is_infinity:
-            return self.field.zero().as_k()
+        """y^2 + a1 xy + a3 y - (x^3 + a2 x^2 + a4 x + a6) at an affine
+        P; zero at precision iff the point is on the curve."""
         a1, a2, a3, a4, a6 = self.a
         x, y = P.x, P.y
-        lhs = y * y + a1 * x * y + a3 * y
-        return lhs - self.rhs(x)
+        return y * y + a1 * x * y + a3 * y - (((x + a2) * x + a4) * x + a6)
 
     def point(self, x, y) -> "CurvePoint":
         return CurvePoint(_embed_k(self.field, x), _embed_k(self.field, y))
@@ -126,10 +96,6 @@ class CurvePoint:
         self.x = x
         self.y = y
 
-    @classmethod
-    def infinity(cls):
-        return cls()
-
     def __repr__(self):
         if self.is_infinity:
             return "CurvePoint(infinity)"
@@ -142,13 +108,8 @@ class CurvePoint:
             return self.is_infinity and other.is_infinity
         return self.x == other.x and self.y == other.y
 
-    def to_json(self):
-        if self.is_infinity:
-            return "infinity"
-        return {"x": self.x.to_json(), "y": self.y.to_json()}
 
-
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint()
 
 
 class ReductionType:
@@ -276,8 +237,8 @@ def normalize_additive(E: WeierstrassCurve):
     f = E.field
     x0, y0 = rt.singular_point
     r = f.element(x0.coeffs)
-    a1b = E.a1.reduce()
-    a2b = (E.a2 + 3 * r).reduce()
+    a1b = E.a[0].reduce()
+    a2b = (E.a[1] + 3 * r).reduce()
     z0 = frobenius_inverse(a2b) if f.p == 2 else -a1b / 2
     tr = Transform(f, r, f.element(z0.coeffs), f.element(y0.coeffs))
     E2 = tr.apply(E)

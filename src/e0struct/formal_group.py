@@ -345,9 +345,8 @@ def g_polynomial(curve) -> AdditivePoly:
     p = f.p
     if f.kind != "unramified":
         raise ValueError("g_polynomial requires an unramified base field")
-    for ai in curve.a:
-        if ai.valuation_or_none() == 0:
-            raise ValueError("g_polynomial requires all a_i in m_K")
+    if not curve.is_normalized():
+        raise ValueError("g_polynomial requires all a_i in m_K")
     terms = {1: f.residue.one}
     for e, j, c in G_TABLE.get(p, ()):
         terms[e] = c * a_mod_p2(curve, j).shift_down(1).reduce()

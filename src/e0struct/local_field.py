@@ -97,7 +97,6 @@ class LocalField:
             pi, d_over_pi, d = (0, 1), tuple(-c for c in h[1:]), h[0]
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        self.n = self.e * self.f
         self.deg = len(self.poly) - 1
         self._pi_powers = [tuple(self._reduce_poly(c)) for c in ((1,), pi)]
         self._pi_inverse_powers = [self._pi_powers[0],
@@ -125,12 +124,9 @@ class LocalField:
                 and (self.p, self.kind, self.poly, self.M)
                 == (other.p, other.kind, other.poly, other.M))
 
-    def __hash__(self):
-        return hash((self.p, self.kind, self.poly, self.M))
-
     def __repr__(self):
         if self.kind == "unramified":
-            return f"LocalField(Q_{self.p}, unramified deg {self.n}, M={self.M})"
+            return f"LocalField(Q_{self.p}, unramified deg {self.deg}, M={self.M})"
         return f"LocalField(Q_{self.p}, eisenstein {list(self.poly)}, M={self.M})"
 
     def int_prec(self, prec) -> int:
@@ -169,12 +165,6 @@ class LocalField:
     # -- element construction ----------------------------------------------
 
     def element(self, coeffs, prec=None) -> "OElement":
-        if isinstance(coeffs, OElement):
-            if coeffs.field != self:
-                raise ValueError("element from a different field")
-            return coeffs
-        if isinstance(coeffs, int):
-            coeffs = [coeffs]
         coeffs = list(coeffs)
         if len(coeffs) > self.deg:
             raise ValueError("too many coefficients")
@@ -348,9 +338,6 @@ class OElement:
         return all((a - b) % m == 0 for a, b, m in zip(
             self.coeffs, other.coeffs, f.coeff_moduli(prec)))
 
-    def __hash__(self):
-        raise TypeError("OElement compares at shared precision; not hashable")
-
     # -- ring operations ----------------------------------------------------
 
     # An int operand never becomes an OElement: it is known mod
@@ -360,8 +347,6 @@ class OElement:
     def _coerce(self, other):
         if isinstance(other, OElement):
             return other if other.field is self.field or other.field == self.field else None
-        if isinstance(other, Fraction):
-            return self.field.embed_integral_rational(other, prec=max(self.prec, self.field.M))
         return None
 
     def _plus_int(self, coeffs, k):
@@ -397,7 +382,7 @@ class OElement:
     def __rsub__(self, other):
         if isinstance(other, int):
             return self._plus_int([-a for a in self.coeffs], other)
-        return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
         f = self.field
@@ -551,9 +536,6 @@ class KElement:
         d = self - o
         return d.is_zero_at_precision()
 
-    def __hash__(self):
-        raise TypeError("KElement compares at shared precision; not hashable")
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -571,9 +553,6 @@ class KElement:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """One O_K product, kept in lowest terms: a known valuation of x
@@ -627,9 +606,6 @@ class KElement:
         if v is not None and v < self.s:
             raise ValueError(f"valuation {v - self.s} < 0; not integral")
         return self.x.shift_down(self.s)
-
-    def reduce(self) -> FFElement:
-        return self.integral_part().reduce()
 
     def to_json(self):
         n = self._normalized()

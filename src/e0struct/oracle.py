@@ -434,16 +434,17 @@ class FiniteModel:
         adds points."""
         return int(self._kernel_flags.sum())
 
-    def kernel_witnesses(self, limit=5):
-        idx = np.nonzero(self._kernel_flags)[0][:limit]
+    def kernel_witnesses(self):
+        idx = np.nonzero(self._kernel_flags)[0][:5]
         return [list(map(int, self.residues[i])) for i in idx]
 
     # -- verification ------------------------------------------------------
 
-    def _spot_checks(self, trials=200, seed=0):
+    def _spot_checks(self):
         """Identity, independence of the lift, associativity and
         commutativity on random residues, in two add_batch calls."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
+        trials = 200
         R, q = len(self.residues), self.ring.q
 
         def draw(size):

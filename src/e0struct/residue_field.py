@@ -61,8 +61,6 @@ def _poly_mod(a, f, p):
 
 
 def _poly_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -126,8 +124,6 @@ def _is_irreducible(modulus, p):
     irreducible factors of any degree up to deg/2.
     """
     n = len(modulus) - 1
-    if n == 1:
-        return True
     x = [0, 1]
     xp = x
     for _ in range(n // 2):
@@ -262,9 +258,6 @@ class FFElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -277,8 +270,6 @@ class FFElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
         return power(self, k, self.parent.one)
 
     def inverse(self):

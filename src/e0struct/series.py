@@ -97,9 +97,6 @@ class WPoly:
             return NotImplemented
         return self.d == other.d
 
-    def __hash__(self):
-        return hash(frozenset(self.d.items()))
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = WPoly.const(other)
@@ -125,9 +122,6 @@ class WPoly:
         if not isinstance(other, WPoly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -228,10 +222,6 @@ class Series:
             for k, v in coeffs.items():
                 if sum(k) <= trunc and not _is_zero_coeff(v):
                     self.c[k] = v
-
-    @classmethod
-    def zero(cls, nvars, trunc):
-        return cls(nvars, trunc)
 
     @classmethod
     def const(cls, nvars, trunc, v):
@@ -380,10 +370,6 @@ class Series:
         for (d,), v in self.c.items():
             out[(d + 1,)] = _div_int(v, d + 1)
         return Series(1, self.trunc + 1, out)
-
-    def map_coeffs(self, fn):
-        return Series(self.nvars, self.trunc,
-                      {k: fn(v) for k, v in self.c.items()})
 
     def evaluate_univar(self, x, one):
         """Horner evaluation of a univariate series at a ring element."""

@@ -68,7 +68,7 @@ def run_cli(argv, input=None):
 def point_neg(E: WeierstrassCurve, P: CurvePoint) -> CurvePoint:
     if P.is_infinity:
         return P
-    return CurvePoint(P.x, -P.y - E.a1 * P.x - E.a3)
+    return CurvePoint(P.x, -P.y - E.a[0] * P.x - E.a[2])
 
 
 def point_add(E: WeierstrassCurve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:

@@ -399,29 +399,45 @@ def test_internal_failure_is_a_clean_error(argv, desc, message):
     assert "Traceback" not in res.output
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["oracle", "-", "-m", "0"], "-m/--level must be >= 1"),
-    (["oracle", "-", "-m", "-1"], "-m/--level must be >= 1"),
-    (["formal-group", "--p", "4"], "--p 4 is not prime"),
-    (["formal-group", "--p", "9"], "--p 9 is not prime"),
-    (["formal-group", "--p", "1"], "--p 1 is not prime"),
-    (["formal-group", "--p", "-3"], "--p -3 is not prime"),
-    (["formal-group", "--degree", "-1"], "--degree must be >= 0"),
-    (["formal-group", "--degree", "30"],
+E2_POINT = json.dumps(dict(E2_DESC, points=[{"x": 1, "y": -1}]))
+
+
+@pytest.mark.parametrize("argv, descriptor, message", [
+    (["oracle", "-", "-m", "0"], E2_POINT, "-m/--level must be >= 1"),
+    (["oracle", "-", "-m", "-1"], E2_POINT, "-m/--level must be >= 1"),
+    (["formal-group", "--p", "4"], E2_POINT, "--p 4 is not prime"),
+    (["formal-group", "--p", "9"], E2_POINT, "--p 9 is not prime"),
+    (["formal-group", "--p", "1"], E2_POINT, "--p 1 is not prime"),
+    (["formal-group", "--p", "-3"], E2_POINT, "--p -3 is not prime"),
+    (["formal-group", "--degree", "-1"], E2_POINT, "--degree must be >= 0"),
+    (["formal-group", "--degree", "30"], E2_POINT,
      "degree 30 exceeds symbolic bound 24"),
-    (["verify-point", "-", "--precision", "0"],
+    (["verify-point", "-", "--precision", "0"], E2_POINT,
      "--precision must be >= 1"),
+    (["formal-group", "--n-series", "0"], E2_POINT,
+     "--n-series must be >= 1"),
+    (["classify", "-"], "{not json",
+     "invalid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (["verify-point", "-"], json.dumps(E2_DESC),
+     "descriptor has no points to verify"),
+    (["oracle", "-"], json.dumps(RAM_DESC),
+     "oracle comparison requires a certified classification"),
+    (["classify", "-"],
+     json.dumps({"p": 3, "field": {"kind": "eisenstein", "poly": [-3, 0, 1]},
+                 "a": [0, 0, 3, 0, 3], "precision": 12}),
+     "hypothesis-violated: p - 1 = 2 <= e = 2"),
 ], ids=["oracle-m0", "oracle-m-1", "p4", "p9", "p1", "p-3", "degree-1",
-        "degree30", "verify-precision0"])
-def test_out_of_range_option_is_an_error(argv, message):
+        "degree30", "verify-precision0", "n-series0", "invalid-json",
+        "verify-no-points", "oracle-exploratory", "hypothesis-violated"])
+def test_out_of_range_option_is_an_error(argv, descriptor, message):
     # every subcommand, formal-group included, fails through main: one
     # `error:` line on stderr, or under --json one JSON object on stdout
-    desc = dict(E2_DESC, points=[{"x": 1, "y": -1}])
-    res = run_cli(argv, input=json.dumps(desc))
+    res = run_cli(argv, input=descriptor)
     assert res.exit_code == 1
     assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
-    res = run_cli(argv + ["--json"], input=json.dumps(desc))
+    res = run_cli(argv + ["--json"], input=descriptor)
     assert res.exit_code == 1
     assert res.stdout == json.dumps({"error": message}) + "\n"
     assert res.stderr == ""

@@ -171,7 +171,7 @@ def _normalize_in_two_steps(E):
     x0, y0 = reduction_type(E).singular_point
     tr1 = Transform(f, f.element(x0.coeffs), 0, f.element(y0.coeffs))
     E1 = tr1.apply(E)
-    a1b, a2b = E1.a1.reduce(), E1.a2.reduce()
+    a1b, a2b = E1.a[0].reduce(), E1.a[1].reduce()
     z0 = frobenius_inverse(a2b) if f.p == 2 else -a1b / 2
     if not z0:
         return E1, tr1
@@ -336,7 +336,7 @@ def test_reduction_type_matches_brute_force(p, n):
             assert (tr.r.reduce(), tr.t.reduce()) == brute[1]
             # the tangent after the translation, found by search
             E1 = Transform(field, tr.r, 0, tr.t).apply(E)
-            a1b, a2b = E1.a1.reduce(), E1.a2.reduce()
+            a1b, a2b = E1.a[0].reduce(), E1.a[1].reduce()
             tangent = [z for z in k if z * z + a1b * z - a2b == k.zero]
             assert tangent == [tr.s.reduce()]
             assert all((x - y).is_zero_at_precision()

@@ -92,7 +92,7 @@ def test_inverse_series():
     F = formal_sum(GENERIC_A, D)
     t = Series.variable(1, D, 0)
     inv = inverse_series(GENERIC_A, D)
-    assert _subst2(F, t, inv) == Series.zero(1, D)
+    assert _subst2(F, t, inv) == Series(1, D)
 
 
 def test_generic_mult_by_2_leading_terms():
@@ -126,8 +126,9 @@ def test_mult_by_n_additivity():
 def test_log_linearizes_group_law():
     # [DERIVED] log F(S, T) = log S + log T
     D = 8
-    F = formal_sum(GENERIC_A, D).map_coeffs(
-        lambda v: v.map_coeffs(Fraction) if isinstance(v, WPoly) else Fraction(v))
+    F = formal_sum(GENERIC_A, D)
+    F = Series(2, D, {k: v.map_coeffs(Fraction) if isinstance(v, WPoly)
+                      else Fraction(v) for k, v in F.c.items()})
     lg = formal_log(GENERIC_A, D)
     S = Series.variable(2, D, 0)
     T = Series.variable(2, D, 1)
