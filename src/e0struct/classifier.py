@@ -68,6 +68,7 @@ class ClassificationReport:
         self.evidence = evidence
         self.certified = certified
         self.transform = transform
+        self.curve = None  # the normalized model, set by classify_general
 
     def __repr__(self):
         tag = "certified" if self.certified else "exploratory"
@@ -157,7 +158,7 @@ def classify_general(E: WeierstrassCurve) -> ClassificationReport:
         report = classify_unramified(E)
     else:
         report = ramified_g_map(E)
-    report.transform = transform
+    report.curve, report.transform = E, transform
     return report
 
 

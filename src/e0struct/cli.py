@@ -60,16 +60,17 @@ def _check_descriptor(d):
     _require(_has_keys(d, {"p", "field", "a"}, {"precision", "points"}),
              "keys are 'p', 'field', 'a' and optionally 'precision', 'points'")
     f, a, points = d["field"], d["a"], d.get("points", [])
-    _require(_has_keys(f, {"kind"}, {"n", "poly"}),
-             "'field' keys are 'kind' and optionally 'n', 'poly'")
+    kind = f.get("kind") if isinstance(f, dict) else None
+    _require(kind in ("unramified", "eisenstein"),
+             "'kind' must be 'unramified' or 'eisenstein'")
+    _require(_has_keys(f, {"kind"}, {"n"}) if kind == "unramified"
+             else _has_keys(f, {"kind", "poly"}),
+             "an unramified 'field' has 'kind' and optionally 'n', "
+             "an eisenstein one 'kind' and 'poly'")
     for obj, key, least in ((d, "p", 2), (d, "precision", 1), (f, "n", 1)):
         v = obj.get(key, least)
         _require(type(v) is int and v >= least,  # refuses true and 5.0
                  f"{key!r} must be an integer >= {least}")
-    _require(f["kind"] in ("unramified", "eisenstein"),
-             "'kind' must be 'unramified' or 'eisenstein'")
-    _require("poly" in f or f["kind"] == "unramified",
-             "eisenstein field needs a 'poly'")
     poly = f.get("poly", [0, 0])
     _require(isinstance(poly, list) and len(poly) >= 2
              and all(type(c) is int for c in poly),
@@ -128,16 +129,16 @@ def _emit(payload, text_lines, as_json):
             print(line)
 
 
-def _curve(input, precision):
+def _curve(input):
     """The descriptor in INPUT (a path or '-') and its curve, over the
-    field at `precision` (the descriptor's own when None)."""
+    field at the descriptor's precision."""
     desc = load_descriptor(_read_input(input))
-    return desc, build_curve(build_field(desc, precision), desc)
+    return desc, build_curve(build_field(desc), desc)
 
 
-def classify(input, precision, as_json):
+def classify(input, as_json):
     """Classify E_0(K) for the descriptor in INPUT (path or '-')."""
-    _, E = _curve(input, precision)
+    _, E = _curve(input)
     require_additive(reduction_type(E))
     report = classify_general(E)
     tag = "certified" if report.certified else "exploratory"
@@ -147,10 +148,10 @@ def classify(input, precision, as_json):
     return EXIT_OK if report.certified else EXIT_EXPLORATORY
 
 
-def normalize(input, precision, as_json):
+def normalize(input, as_json):
     """Translate the singular point to the origin and kill the tangent
     cross term; print the transformed model."""
-    _, E = _curve(input, precision)
+    _, E = _curve(input)
     E2, tr = normalize_additive(E)
     payload = {"curve": E2.to_json(), "transform": tr.to_json()}
     avals = [list(ai.coeffs) for ai in E2.a]
@@ -196,20 +197,17 @@ def verify_point(input, precision, as_json):
     level, and torsion order."""
     if precision < 1:
         raise ValueError("--precision must be >= 1")
-    desc, E = _curve(input, None)
+    desc, E = _curve(input)
     if not desc.get("points"):
         raise ValueError("descriptor has no points to verify")
-    tr = None
-    if not E.is_normalized():
-        E, tr = normalize_additive(E)
     report = classify_general(E)
-    results = [_verify_one(E, report, pt, precision, tr)
-               for pt in desc["points"]]
+    results = [_verify_one(report, pt, precision) for pt in desc["points"]]
     _emit({"points": results}, [r["text"] for r in results], as_json)
     return EXIT_OK if report.certified else EXIT_EXPLORATORY
 
 
-def _verify_one(E, report, raw, precision, tr):
+def _verify_one(report, raw, precision):
+    E, tr = report.curve, report.transform
     field = E.field
     P = build_point(E, raw)
     if tr is not None:
@@ -275,19 +273,14 @@ def _torsion_order(t_mult, p, precision):
     return None
 
 
-def oracle(input, level, precision, as_json):
+def oracle(input, level, as_json):
     """Compare the certified classification against the brute-force
     finite-quotient oracle at level M."""
     if level < 1:
         raise ValueError("-m/--level must be >= 1")
-    _, E = _curve(input, precision)
-    if not E.is_normalized():
-        E, _ = normalize_additive(E)
+    _, E = _curve(input)
     report = classify_general(E)
-    if not report.certified:
-        raise ValueError(
-            "oracle comparison requires a certified classification")
-    verdict = compare(E, report, level)
+    verdict = compare(report.curve, report, level)
     lines = [f"order {verdict['order']}, p_rank {verdict['p_rank']}, "
              f"kernel {verdict['kernel_size']}: {verdict['verdict']}"]
     _emit(verdict, lines, as_json)
@@ -320,14 +313,11 @@ def _parser(prog):
         cmd.set_defaults(run=run)
         return cmd
 
-    def reads_input(cmd, precision=None, help=None):
+    def reads_input(cmd):
         cmd.add_argument("input", nargs="?", default="-", metavar="INPUT")
-        cmd.add_argument("--precision", type=int, default=precision,
-                         help=help)
         return cmd
 
-    reads_input(command("classify", classify),
-                help="Working precision (powers of m_K).")
+    reads_input(command("classify", classify))
     reads_input(command("normalize", normalize))
     fg = command("formal-group", formal_group)
     fg.add_argument("--p", type=int, default=None, help=(
@@ -337,8 +327,10 @@ def _parser(prog):
                     help="Which multiplication series [n] to print.")
     fg.add_argument("--degree", type=int, default=6,
                     help="Truncation degree for the printed series.")
-    reads_input(command("verify-point", verify_point), 4,
-                "Precision (powers of m_K) for torsion checks.")
+    reads_input(command("verify-point", verify_point)).add_argument(
+        "--precision", type=int, default=4, help=(
+            "Least precision (powers of m_K) of a torsion check; a torsion "
+            "label is checked again at the descriptor's precision."))
     reads_input(command("oracle", oracle)).add_argument(
         "-m", "--level", type=int, default=4,
         help="Quotient level M for the finite model.")

@@ -490,7 +490,8 @@ def compare(E, report, M):
     p E_0(K) from M0 = 1 + e on, and only there does the p-rank of
     O_K/m^M read that of E_0(K)."""
     if not report.certified:
-        raise ValueError("compare requires a certified report")
+        raise ValueError(
+            "oracle comparison requires a certified classification")
     M0 = 1 + E.field.e
     if M < M0:
         raise ValueError(f"level M = {M} is below M0 = 1 + e = {M0}, "

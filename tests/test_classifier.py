@@ -46,6 +46,7 @@ def test_classify_fixtures(fixture_curves):
         r = classify_general(E)
         assert (str(r.structure), r.method) == EXPECTED[name], name
         assert r.certified
+        assert r.curve is E and r.transform is None, name
 
 
 def test_classify_handles_unnormalized_model(Q3):
@@ -54,6 +55,8 @@ def test_classify_handles_unnormalized_model(Q3):
     r = classify_general(shifted)
     assert str(r.structure) == "Z_3 x Z/3Z"
     assert r.transform is not None and not r.transform.is_identity
+    assert r.curve.is_normalized()
+    assert r.curve.a == r.transform.apply(shifted).a
 
 
 def test_congruence_matches_unramified_path(Q2, Q3, Q5, Q7):

@@ -328,11 +328,14 @@ POINT_DESC = dict(E5_DESC, points=[{"x": 1, "y": 1}])
     {"precision": 0}, {"points": [{"x": 1}]}, {"points": ["zero"]},
     {"q": 1}, {"field": {"kind": "unramified", "n": 1, "m": 1}},
     {"points": [{"x": 1, "y": 1, "z": 1}]}, {"field": {"kind": "eisenstein"}},
+    # a key that the field's kind never reads was ignored, and exited 0
+    {"field": {"kind": "unramified", "n": 2, "poly": [2, 0, 1]}},
+    {"field": {"kind": "eisenstein", "poly": [-5, 0, 1], "n": 3}},
 ], ids=["p-float", "n-float", "precision-float", "p-true", "zero-denominator",
         "trailing-newline", "non-ascii-digit", "p1", "kind", "n0", "poly1",
         "a4", "a6", "rational", "empty-vector", "precision0", "point-no-y",
         "point-string", "extra-top-key", "extra-field-key", "extra-point-key",
-        "eisenstein-no-poly"])
+        "eisenstein-no-poly", "unramified-poly", "eisenstein-n"])
 def test_descriptor_rule_is_enforced(edit):
     # [DERIVED] every broken rule ends in a message and exit code 1
     desc = json.dumps(dict(POINT_DESC, **edit))
@@ -544,11 +547,16 @@ def test_unnormalized_input_is_normalized_once(argv, twin_output,
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--bogus"], ["classify", "--precision", "abc"], ["bogus"],
-    [], ["classify", "/nonexistent.json"], ["classify", "{directory}"],
-    ["classify", "-", "extra"], ["oracle", "-m"],
+    ["classify", "--bogus"], ["verify-point", "-", "--precision", "abc"],
+    ["bogus"], [], ["classify", "/nonexistent.json"],
+    ["classify", "{directory}"], ["classify", "-", "extra"], ["oracle", "-m"],
+    # the descriptor's precision is the only working precision
+    ["classify", "-", "--precision", "3"],
+    ["normalize", "-", "--precision", "3"],
+    ["oracle", "-", "-m", "3", "--precision", "3"],
 ], ids=["unknown-option", "non-integer", "unknown-command", "no-command",
-        "missing-file", "directory", "extra-argument", "missing-value"])
+        "missing-file", "directory", "extra-argument", "missing-value",
+        "classify-precision", "normalize-precision", "oracle-precision"])
 def test_usage_error_and_unreadable_input_exit_1(argv, tmp_path):
     # [DERIVED] exit code 2 means an exploratory result, so a typo or an
     # input that cannot be read ends like every other failure: exit 1 and
