@@ -69,6 +69,7 @@ class ClassificationReport:
         self.certified = certified
         self.transform = transform
         self.curve = None  # the normalized model, set by classify_general
+        self.lattice = None  # set by ramified_g_map when torsion-free
 
     def __repr__(self):
         tag = "certified" if self.certified else "exploratory"
@@ -97,7 +98,7 @@ def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
     _require_normalized(E)
     p, n = f.p, f.deg
     g = g_polynomial(E)
-    b, roots = additive_poly_roots(g)
+    b, _ = additive_poly_roots(g)
     evidence = {"g": [list(c.coeffs) for c in g.coeffs],
                 "kernel_dim": b}
     if p > 2:  # g = T - c*T^p has a nonzero root iff N_{k/F_p}(c) = 1
@@ -111,7 +112,7 @@ def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
     else:  # p == 2: the kernel is the paper's quartic root count
         if b > 2 or (b == 2 and n < 2):
             raise InternalInconsistency(f"impossible 2-torsion rank {b}")
-        evidence["quartic_roots"] = len(roots)
+        evidence["quartic_roots"] = 2 ** b
     return ClassificationReport(
         GroupStructure(p, n, [p] * b), "theorem-unramified", evidence,
         certified=True)
@@ -208,7 +209,6 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
     report = ClassificationReport(
         GroupStructure(p, f.deg, [p] * dim), "ramified-exploratory",
         evidence, certified=False)
-    report.lattice = None
     if dim == 0:
         report.lattice = _ramified_lattice(coords, f)
         evidence["lattice_basis"] = [[str(x) for x in row]

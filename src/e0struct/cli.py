@@ -20,9 +20,9 @@ import re
 import sys
 
 from .classifier import classify_general
-from .curve import (INFINITY, WeierstrassCurve, normalize_additive,
-                    psi_E0, reduce_point, reduction_type, filtration_level,
-                    require_additive)
+from .curve import (INFINITY, NotInE0, WeierstrassCurve,
+                    normalize_additive, psi_E0, reduction_type,
+                    filtration_level, require_additive)
 from .formal_group import (G_TABLE, generic_group_law, generic_mult_by_n,
                            t_of_multiple)
 from .local_field import LocalField, PrecisionExhausted
@@ -222,12 +222,12 @@ def _verify_one(report, raw, precision):
     if not res.is_zero_at_precision():
         raise ValueError(f"point not on curve: residual valuation "
                          f"{res.valuation()}")
-    _, smooth = reduce_point(E, P)
-    if not smooth:
+    try:
+        level = filtration_level(E, P)
+    except NotInE0:
         out.update({"in_E0": False,
                     "text": "not in E_0 (reduces to singular point)"})
         return out
-    level = filtration_level(E, P)
     out.update({"in_E0": True, "level": level})
     if report.certified and not report.structure.torsion:
         # E_0(K) is pro-p, so in a certified torsion-free group every

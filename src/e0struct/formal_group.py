@@ -58,28 +58,28 @@ def _unit_inverse(x, residue):
     return x.invert_unit(residue) if isinstance(x, Series) else x.invert()
 
 
-def _negate(a, t, w):
-    """-(t, w) = (t, w)/(a1*t + a3*w - 1)."""
-    inv = _unit_inverse(a[0] * t + a[2] * w - 1, -1)
-    return t * inv, w * inv
-
-
 def _chord_sum(a, lam, nu, t1, t2):
     """(t, w) of P1 + P2, for points with t-coordinates t1, t2 on the line
     w = lam*t + nu (the tangent when they coincide).  Substituting the
     line into the w-equation gives a cubic A*t^3 + B*t^2 + ... whose
-    roots t1, t2, t3 sum to -B/A; the sum is minus the third point.
+    roots t1, t2, t3 sum to -B/A, so t3 = -N/A and w3 = -V/A for
+    N = B + (t1 + t2)*A and V = lam*N - nu*A.  The sum is minus the third
+    point, -(t, w) = (t, w)/(a1*t + a3*w - 1), which is (N, V)/Q for
+    Q = A + a1*N + a3*V: one denominator.
 
     The operands are series over the coefficient ring, or elements of
-    O_K; A is a unit either way (_ladder)."""
+    O_K; Q has residue 1 either way (_ladder, or in formal_sum every term
+    of Q but A's 1 has positive degree)."""
     a1, a2, a3, a4, a6 = a
     lam2 = lam * lam
     lamnu = lam * nu
     B = (a1 * lam + a3 * lam2 + a2 * nu + (2 * a4) * lamnu
          + (3 * a6) * (lam * lamnu))
     A = a2 * lam + a4 * lam2 + a6 * (lam2 * lam) + 1
-    t3 = -(B * _unit_inverse(A, 1)) - t1 - t2
-    return _negate(a, t3, lam * t3 + nu)
+    N = B + (t1 + t2) * A
+    V = lam * N - nu * A
+    inv = _unit_inverse(A + a1 * N + a3 * V, 1)
+    return N * inv, V * inv
 
 
 def formal_sum(a, D: int) -> Series:
@@ -151,8 +151,8 @@ def _ladder(a, n: int, P):
     ladder on the pair ([k]P, [k+1]P), read off the bits of n; each step
     either doubles the lower point and adds the two, or adds them and
     doubles the upper one.  With every a_j in m, t([k]P) = k*t(P) mod m,
-    so each chord's t-difference, each -G_w, each cubic's A and each
-    negation's a1*t + a3*w - 1 is a unit: no step divides by anything
+    so each chord's t-difference, each -G_w and each chord's
+    A + a1*N + a3*V = 1 mod m is a unit: no step divides by anything
     else, and the result is known to the precision of its inputs."""
     lo, hi = P, _double(a, P)
     bits = bin(n)[3:]

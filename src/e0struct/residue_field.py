@@ -399,23 +399,12 @@ def _fp_kernel(mat, p):
 def additive_poly_roots(f: AdditivePoly):
     """Kernel of the F_p-linear map induced by f.
 
-    Returns (kernel_dimension, roots).  Computed by linear algebra on the
-    matrix of f; every root is then checked against f itself.
-    """
+    Returns (kernel_dimension, basis): an F_p basis of the roots, from
+    linear algebra on the matrix of f.  f is F_p-linear, so checking
+    each basis vector against f itself checks every root."""
     k = f.parent
-    p = k.p
-    basis = _fp_kernel(f.matrix(), p)
-    dim = len(basis)
-    roots = []
-    for combo in itertools.product(range(p), repeat=dim):
-        vec = [0] * k.n
-        for c, b in zip(combo, basis):
-            for i in range(k.n):
-                vec[i] = (vec[i] + c * b[i]) % p
-        roots.append(k.element(vec))
-    if len(roots) != p ** dim:
-        raise AssertionError("kernel size is not p^dimension")
-    if any(f(r) for r in roots):
+    basis = [k.element(v) for v in _fp_kernel(f.matrix(), k.p)]
+    if any(f(b) for b in basis):
         raise AssertionError(
             "a kernel vector of an additive polynomial is not a root")
-    return dim, roots
+    return len(basis), basis

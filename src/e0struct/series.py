@@ -346,19 +346,14 @@ class Series:
 
     def compose(self, sub):
         """self(sub) for univariate self; sub is a series with zero constant
-        term (any variable count).  Horner evaluation."""
+        term (any variable count).  Horner evaluation in the series ring
+        truncated at the lesser degree."""
         if self.nvars != 1:
             raise ValueError("compose only for univariate series")
         if not _is_zero_coeff(sub.constant_term()):
             raise ValueError("substituted series must have zero constant term")
         D = min(self.trunc, sub.trunc)
-        result = Series(sub.nvars, D)
-        for d in range(D, -1, -1):
-            result = result * sub
-            cd = self.c.get((d,), 0)
-            if not _is_zero_coeff(cd):
-                result = result.add_const(cd)
-        return result
+        return self.evaluate_univar(sub, Series.const(sub.nvars, D, 1))
 
     def integrate(self):
         """Antiderivative with zero constant term; divides by exponents, so

@@ -110,7 +110,7 @@ def test_ramified_exploratory(Q2sqrt2):
         assert r.structure.torsion_rank in (0, 1)
         seen_torsion.add(r.structure.torsion_rank)
         if r.structure.torsion_rank == 0:
-            lat = getattr(r, "lattice", None)
+            lat = r.lattice
             assert lat is not None
             # 2x2 basis over Q with denominators dividing p
             for row in lat:

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from e0struct.classifier import classify_general
-from e0struct.formal_group import (G_TABLE, _negate, eval_at, formal_log,
-                                   formal_sum, g_polynomial,
-                                   generic_mult_by_n, specialize,
-                                   specialized_mult_by_n, t_of_multiple,
-                                   tail_valuation, w_series)
+from e0struct.formal_group import (G_TABLE, eval_at, formal_log, formal_sum,
+                                   g_polynomial, generic_mult_by_n,
+                                   specialize, specialized_mult_by_n,
+                                   t_of_multiple, tail_valuation, w_series)
 from e0struct.local_field import LocalField
 from e0struct.series import GENERIC_A, Series, WPoly
 
@@ -82,8 +81,10 @@ def test_formal_sum_associative_small():
 
 
 def inverse_series(a, D):
-    """i(t) with F(t, i(t)) = 0: the negation of the point (t, w(t))."""
-    return _negate(a, Series.variable(1, D, 0), w_series(a, D))[0]
+    """i(t) with F(t, i(t)) = 0: the negation of the point (t, w(t)),
+    -(t, w) = (t, w)/(a1*t + a3*w - 1), so i(T) = T/(a1*T + a3*w(T) - 1)."""
+    T = Series.variable(1, D, 0)
+    return T * (a[0] * T + a[2] * w_series(a, D) - 1).invert_unit(-1)
 
 
 def test_inverse_series():
@@ -93,6 +94,22 @@ def test_inverse_series():
     t = Series.variable(1, D, 0)
     inv = inverse_series(GENERIC_A, D)
     assert _subst2(F, t, inv) == Series(1, D)
+
+
+def test_chord_sum_inverts_one_unit(monkeypatch):
+    # [DERIVED] the sum on a chord is (N, V)/Q over the one denominator
+    # Q = A + a1*N + a3*V, not -B/A followed by a negation's own division
+    from e0struct import formal_group
+
+    K = LocalField.unramified(5, 1, 8)
+    a = tuple(K.element([5 * c]) for c in (1, 2, 3, 4, 1))
+    calls = []
+    inverse = formal_group._unit_inverse
+    monkeypatch.setattr(formal_group, "_unit_inverse",
+                        lambda x, r: calls.append(x) or inverse(x, r))
+    formal_group._chord_sum(a, K.element([2]), K.element([15]),
+                            K.element([1]), K.element([2]))
+    assert len(calls) == 1
 
 
 def test_generic_mult_by_2_leading_terms():

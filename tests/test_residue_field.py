@@ -69,14 +69,28 @@ def test_norm_surjective_on_units():
     assert counts == {1: 4, 2: 4}
 
 
+def _span(k, basis):
+    """The sorted coefficient vectors of the F_p-span of basis in k; the
+    basis must be independent, so the span has p^len(basis) elements."""
+    p = k.p
+    span = set()
+    for combo in itertools.product(range(p), repeat=len(basis)):
+        x = k.zero
+        for c, b in zip(combo, basis):
+            x = x + k.element(c) * b
+        span.add(x.coeffs)
+    assert len(span) == p ** len(basis), "basis is not independent"
+    return sorted(span)
+
+
 def test_additive_poly_x4_minus_x_over_f4():
     # [PAPER] X^4 - X over F_4 has kernel dimension 2 (all of F_4)
     k = FiniteField(2, 2)
     # T - T^4 as coefficients on T^{p^j}: (1, 0, -1) = (1, 0, 1) mod 2
     f = AdditivePoly(k, [k.one, k.zero, k.one])
-    dim, roots = additive_poly_roots(f)
+    dim, basis = additive_poly_roots(f)
     assert dim == 2
-    assert len(roots) == 4
+    assert _span(k, basis) == sorted(x.coeffs for x in k)
 
 
 def test_additive_poly_artin_schreier():
@@ -84,9 +98,9 @@ def test_additive_poly_artin_schreier():
     for p, n in ((3, 1), (3, 2), (5, 2)):
         k = FiniteField(p, n)
         f = AdditivePoly(k, [k.one, k.element(p - 1)])
-        dim, roots = additive_poly_roots(f)
+        dim, basis = additive_poly_roots(f)
         assert dim == 1
-        assert sorted(r.coeffs for r in roots) == sorted(
+        assert _span(k, basis) == sorted(
             k.element(c).coeffs for c in range(p))
 
 
@@ -100,6 +114,34 @@ def test_additive_poly_linearity():
         assert f(a + b) == f(a) + f(b)
 
 
+def test_additive_poly_roots_checks_only_the_basis(monkeypatch):
+    # [DERIVED] f is F_p-linear, so the matrix (n evaluations) and one
+    # check per basis vector (b evaluations) settle the kernel: over
+    # F_49, T - c*T^7 with N(c) = 1 has b = 1, so 2 + 1 evaluations, not
+    # 2 + 7 from listing all 7 roots
+    k = FiniteField(7, 2)
+    c = next(x for x in k if x != k.one and ff_norm(x).as_int() == 1)
+    f = AdditivePoly(k, [k.one, -c])
+    calls = []
+    call = AdditivePoly.__call__
+    monkeypatch.setattr(AdditivePoly, "__call__",
+                        lambda self, x: calls.append(x) or call(self, x))
+    dim, basis = additive_poly_roots(f)
+    assert dim == 1 and basis[0] and not call(f, basis[0])
+    assert len(calls) == 3
+
+
+def test_additive_poly_roots_rejects_a_non_root_basis(monkeypatch):
+    # [DERIVED] the check on each basis vector stays a check: a kernel
+    # that lies (here 1 for f = T, whose kernel is 0) raises
+    import e0struct.residue_field as residue_field
+
+    k = FiniteField(3, 2)
+    monkeypatch.setattr(residue_field, "_fp_kernel", lambda mat, p: [[1, 0]])
+    with pytest.raises(AssertionError, match="is not a root"):
+        additive_poly_roots(AdditivePoly(k, [k.one]))
+
+
 # every field of order <= 3^4 except the prime fields beyond F_7
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
                 (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
@@ -107,8 +149,8 @@ SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1),
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)
 def test_additive_poly_roots_match_exhaustive_search(p, n):
-    # [TRIVIAL] the linear-algebra kernel is the set of roots found by
-    # evaluating f on the whole field
+    # [TRIVIAL] the span of the linear-algebra kernel basis is the set of
+    # roots found by evaluating f on the whole field
     k = FiniteField(p, n)
     elems = list(k)
     rng = random.Random(100 * p + n)
@@ -117,10 +159,10 @@ def test_additive_poly_roots_match_exhaustive_search(p, n):
                                for _ in range(rng.randint(1, n + 1))])
               for _ in range(10)]
     for f in polys:
-        dim, roots = additive_poly_roots(f)
+        dim, basis = additive_poly_roots(f)
         brute = sorted(x.coeffs for x in elems if not f(x))
-        assert sorted(r.coeffs for r in roots) == brute, f
-        assert len(brute) == p ** dim
+        assert dim == len(basis)
+        assert _span(k, basis) == brute, f
 
 
 def test_non_prime_rejected():
