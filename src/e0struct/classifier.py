@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curve import WeierstrassCurve, normalize_additive
+from .curve import WeierstrassCurve, normalize_additive, require_normalized
 from .formal_group import (G_TABLE, a_mod_p2, formal_log, g_polynomial,
                            log_degree, t_of_multiple)
 from .local_field import PrecisionExhausted
@@ -85,19 +85,10 @@ class ClassificationReport:
         return out
 
 
-def _require_normalized(E):
-    if not E.is_normalized():
-        raise ValueError("curve is not normalized (some a_i is a unit); "
-                         "use classify_general for automatic normalization")
-
-
 def classify_unramified(E: WeierstrassCurve) -> ClassificationReport:
     f = E.field
-    if f.kind != "unramified":
-        raise ValueError("classify_unramified requires an unramified field")
-    _require_normalized(E)
     p, n = f.p, f.deg
-    g = g_polynomial(E)
+    g = g_polynomial(E)  # refuses a ramified field or an unnormalized model
     b, _ = additive_poly_roots(g)
     evidence = {"g": [list(c.coeffs) for c in g.coeffs],
                 "kernel_dim": b}
@@ -122,7 +113,7 @@ def classify_congruence(E: WeierstrassCurve) -> ClassificationReport:
     f = E.field
     if f.kind != "unramified" or f.deg != 1:
         raise ValueError("classify_congruence requires K = Q_p")
-    _require_normalized(E)
+    require_normalized(E)
     p = f.p
     if p not in G_TABLE:
         return ClassificationReport(GroupStructure(p, 1), "corollary-p>7",
@@ -178,7 +169,7 @@ def ramified_g_map(E: WeierstrassCurve) -> ClassificationReport:
     f = E.field
     if f.kind != "eisenstein":
         raise ValueError("ramified_g_map requires an Eisenstein field")
-    _require_normalized(E)
+    require_normalized(E)
     p, e = f.p, f.e
     if not (p - 1 > e or (p == 2 and e <= 2)):
         raise ValueError(

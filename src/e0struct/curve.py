@@ -149,6 +149,14 @@ def require_additive(rt: ReductionType) -> ReductionType:
     return rt
 
 
+def require_normalized(E: WeierstrassCurve) -> WeierstrassCurve:
+    """E if all its a_i lie in m_K; else the one normalized-model refusal."""
+    if not E.is_normalized():
+        raise ValueError("model is not normalized (some a_i is a unit); "
+                         "normalize_additive moves every a_i into m_K")
+    return E
+
+
 def _reduction_type(E):
     vd = E.disc.valuation_or_none()
     if vd == 0:
@@ -270,14 +278,17 @@ def reduce_point(E: WeierstrassCurve, P: CurvePoint):
     return image, smooth
 
 
+def _require_E0(E: WeierstrassCurve, P: CurvePoint):
+    if not reduce_point(E, P)[1]:
+        raise NotInE0("point reduces to the singular locus")
+
+
 def filtration_level(E: WeierstrassCurve, P: CurvePoint):
     """Largest i with P in E_i(K); None encodes infinity (P = infinity).
     Both displayed valuation conditions are checked and must agree."""
     if P.is_infinity:
         return None
-    _, smooth = reduce_point(E, P)
-    if not smooth:
-        raise NotInE0("point reduces to the singular locus")
+    _require_E0(E, P)
     vx = P.x.valuation() if not P.x.is_zero_at_precision() else 0
     if vx >= 0:
         return 0
@@ -290,12 +301,9 @@ def filtration_level(E: WeierstrassCurve, P: CurvePoint):
 
 def psi_E0(E: WeierstrassCurve, P: CurvePoint) -> OElement:
     """Psi: E_0(K) -> Ehat(O_K), (x, y) -> -x/y; infinity -> 0."""
-    if not E.is_normalized():
-        raise ValueError("psi requires a normalized model (a_i in m_K)")
+    require_normalized(E)
     if P.is_infinity:
         return E.field.zero()
-    _, smooth = reduce_point(E, P)
-    if not smooth:
-        raise NotInE0("point reduces to the singular locus")
+    _require_E0(E, P)
     val = -(P.x / P.y)
     return val.integral_part()

@@ -17,6 +17,7 @@ point of E(K) over O_K (t_of_multiple); with u = T it is the point
 
 from __future__ import annotations
 
+from .curve import require_normalized
 from .local_field import PrecisionExhausted, _vp
 from .residue_field import AdditivePoly
 from .series import GENERIC_A, Series, WPoly, _is_zero_coeff, dot
@@ -345,8 +346,7 @@ def g_polynomial(curve) -> AdditivePoly:
     p = f.p
     if f.kind != "unramified":
         raise ValueError("g_polynomial requires an unramified base field")
-    if not curve.is_normalized():
-        raise ValueError("g_polynomial requires all a_i in m_K")
+    require_normalized(curve)
     terms = {1: f.residue.one}
     for e, j, c in G_TABLE.get(p, ()):
         terms[e] = c * a_mod_p2(curve, j).shift_down(1).reduce()

@@ -427,10 +427,9 @@ class OElement:
         mods = f.coeff_moduli(self.prec)
         z = list(self.reduce().inverse().coeffs)
         z += [0] * (f.deg - len(z))
-        # quadratic convergence: precision doubles each step; every
-        # product is a unit known mod m^prec, so each step reduces there
-        steps = max(1, math.ceil(math.log2(max(2, self.prec))) + 1)
-        for _ in range(steps):
+        # the residue inverse is right mod m and each step doubles the right
+        # digits; every product is a unit known mod m^prec, reduced there
+        for _ in range((self.prec - 1).bit_length()):
             r = [-c for c in f._times(self.coeffs, z)]
             r[0] += 2
             z = [c % m for c, m in zip(f._times(z, r), mods)]

@@ -3,22 +3,24 @@ sum F on O_K/m_K^M, its p-rank and its [p]-kernel count, compared
 against a classification report.
 
 The group law here is rebuilt numerically per curve (numpy integer
-arithmetic over O_K/p^k), sharing no series code with formal_group:
-the chord through two points of the w-series and its third point's
-negation, both over the chord's denominator, so that F takes one Newton
-inversion.  The two counts check each other: one double-and-add ladder
-over the bits of p runs on points in p_rank (p*x at every residue) and
-on series in kernel_count ([p](T), then evaluated at every residue),
-and the tests compare that [p](T) with the engine's.  Both counts
-contract with one power-major table x^0 ... x^D of the residues, one
-contiguous block per power.  On points the ladder runs on row indices
-of the residues: a doubling is a lookup in the doubling map
-x -> F(x, x), computed once from the diagonal, and an addition of x
-contracts the table G_i(x) = sum_j F[i][j] x^j with the power-table
-columns of the running sum.  All arithmetic runs through the primitives
-of _Ring (a ring product, a truncated series product, a power table and
-its contractions), whose worst-case int64 intermediate is checked
-before a model is built."""
+arithmetic over O_K/p^k), sharing no series code with formal_group: the
+chord through two points of the w-series and its third point's negation,
+both over the chord's denominator, so that F takes one Newton inversion.
+F and [p](T) are truncated at total degree D = max(6M - 5, 3)
+(truncation_degree): a dropped coefficient has weight at least D, so at
+least ceil(D/6) >= M factors a_j, each in m_K.  The two counts check
+each other: one double-and-add ladder over the bits of p runs on points
+in p_rank (p*x at every residue) and on series in kernel_count ([p](T),
+then evaluated at every residue), and the tests compare that [p](T) with
+the engine's.  Both counts contract with one power-major table
+x^0 ... x^D of the residues, one contiguous block per power.  On points
+the ladder runs on row indices of the residues: a doubling is a lookup
+in the doubling map x -> F(x, x), computed once from the diagonal, and
+an addition of x contracts the table G_i(x) = sum_j F[i][j] x^j with the
+power-table columns of the running sum.  All arithmetic runs through the
+primitives of _Ring (a ring product, a truncated series product, a power
+table and its contractions), whose worst-case int64 intermediate is
+checked before a model is built."""
 
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ import functools
 import importlib.util
 import math
 import sys
+
+from .curve import require_normalized
 
 
 def _lazy_import(name):
@@ -290,15 +294,21 @@ def _numeric_F(ring, a, D):
     return smul(N, ring.invert_unit(den % q))
 
 
+def truncation_degree(M):
+    """The least D with ceil(D/6) >= M, and at least 3, where the w-series
+    starts: F and [p](T) truncated at total degree D are exact mod m^M at
+    every point of O_K.  A dropped coefficient has weight at least D in the
+    a_j (AEC IV.1), so each of its monomials has at least ceil(D/6) factors
+    a_j, of weight j <= 6, and a normalized model has every a_j in m_K."""
+    return max(6 * M - 5, 3)
+
+
 class FiniteModel:
     """The abelian group (O_K/m_K^M, x + y := F(x, y))."""
 
     def __init__(self, E, M):
-        field = E.field
-        if not E.is_normalized():
-            raise ValueError("finite_model requires a normalized curve")
+        field = require_normalized(E).field
         self.E, self.field, self.M = E, field, M
-        p, d = field.p, field.deg
         self.moduli = field.coeff_moduli(M)
         order = math.prod(self.moduli)
         if order > SIZE_BOUND:
@@ -306,13 +316,8 @@ class FiniteModel:
         self.order = order
         kd = field.int_prec(M)
         self.ring = _Ring(field, kd + 2)  # slack digits for lift checks
-        self.q = p ** kd
-        D = 6 * M + 2
-        self.D = D
-        # truncation soundness: the first dropped coefficient has weight
-        # >= D, so each of its monomials has at least ceil(D/6) factors
-        # a_j, and every a_j lies in m_K (not always in m_K^e): the
-        # dropped terms have valuation >= ceil(D/6) > M even at units
+        D = self.D = truncation_degree(M)
+        # truncation_degree's inequality, at the a_j's least valuation
         assert min(aj._vmin() for aj in E.a) * math.ceil(D / 6) >= M
         bound = self.ring.int64_bound(D)
         if bound >= 2 ** 63:
@@ -328,7 +333,7 @@ class FiniteModel:
                               for k in range(D + 1)]) % q
         # residues: all canonical coordinate vectors, in lexicographic order
         self.residues = np.indices(self.moduli, dtype=np.int64).reshape(
-            d, -1).T
+            field.deg, -1).T
         self._mp_coeffs = None
         self._spot_checks()
 
@@ -336,10 +341,7 @@ class FiniteModel:
 
     def canonical(self, X):
         """Reduce coordinate arrays (..., d) to canonical residues."""
-        out = X % self.q
-        for i, m in enumerate(self.moduli):
-            out[..., i] %= m
-        return out
+        return X % np.array(self.moduli)
 
     def index(self, X):
         """Row indices in self.residues of the residues of X (..., d): the

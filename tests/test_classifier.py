@@ -11,7 +11,7 @@ from e0struct.cli import build_curve, build_field
 from e0struct.curve import Transform
 from e0struct.formal_group import (eval_at, formal_log, log_degree,
                                    specialized_mult_by_n, t_of_multiple)
-from e0struct.local_field import LocalField, PrecisionExhausted
+from e0struct.local_field import LocalField, PrecisionExhausted, _vp
 from e0struct.oracle import finite_model
 
 from conftest import FIXTURE_COEFFS, make_curve, random_normalized_curve
@@ -203,6 +203,66 @@ def test_certified_answer_is_monotone_in_precision(p, n, a, rst):
         except PrecisionExhausted:
             continue
         assert (r.structure, r.method) == (top.structure, top.method), M
+
+
+def _lift_models(rng, p, n, count):
+    """count seeded pairs of integer models over F_{p^n}, as coefficient
+    vectors: a normalized one, each a_i = p*r (r < p^3) or, one time in
+    four, 0, then the same curve moved by a seeded unit change (r, s, t),
+    read back from its coefficients mod p^30."""
+    K = LocalField.unramified(p, n, 30)
+    models = []
+    while len(models) < 2 * count:
+        a = [[p * rng.randrange(p ** 3) for _ in range(n)]
+             if rng.randrange(4) else [0] * n for _ in range(5)]
+        try:
+            E = make_curve(K, a)
+        except PrecisionExhausted:
+            continue
+        rst = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 1)]
+               for _ in "rst"]
+        moved = Transform(K, *rst).apply(E)
+        models += [a, [list(ai.coeffs) for ai in moved.a]]
+    return models
+
+
+def _random_lift(a, M, p, rng):
+    """A random curve that the integer model a at precision M describes,
+    by the precision rule: a nonzero a_i of valuation v is known mod
+    p^max(M, v + 1), a zero one mod p^M; the digits past those are
+    redrawn."""
+    lift = []
+    for ai in a:
+        v = min((_vp(c, p) for c in ai if c), default=None)
+        k = M if v is None else max(M, v + 1)
+        lift.append([c + p ** k * rng.randrange(p ** 3) for c in ai])
+    return lift
+
+
+def test_certified_answer_holds_on_random_lifts():
+    # [DERIVED] a certified answer at precision M is the answer of every
+    # curve the input describes: each random lift of the digits the input
+    # left open, classified at M + 10, has the same structure
+    rng = random.Random(15)
+    answers = {False: 0, True: 0}  # by whether classify had to normalize
+    for p, n in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (3, 3)):
+        fields = {M: LocalField.unramified(p, n, M)
+                  for M in (*range(1, 5), *range(11, 15))}
+        for a in _lift_models(rng, p, n, 10):
+            for M in range(1, 5):
+                try:
+                    r = classify_general(make_curve(fields[M], a))
+                except PrecisionExhausted:
+                    continue
+                if not r.certified:
+                    continue
+                answers[r.transform is not None] += 1
+                for _ in range(4):
+                    lift = _random_lift(a, M, p, rng)
+                    s = classify_general(make_curve(fields[M + 10], lift))
+                    assert s.certified and s.structure == r.structure, (
+                        p, n, a, M, lift)
+    assert sum(answers.values()) >= 200 and all(answers.values())
 
 
 # one curve over each Eisenstein field of the ramified benchmark, in the

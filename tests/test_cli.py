@@ -271,6 +271,27 @@ def test_oracle_json(tmp_path):
     assert payload["order"] == 16 and payload["kernel_size"] == 4
 
 
+E3_DESC = {"p": 3, "field": {"kind": "unramified", "n": 1},
+           "a": [0, -3, 0, 3, 0], "precision": 12}
+
+
+@pytest.mark.parametrize("desc, level, order, kernel", [
+    (E3_DESC, 2, 9, 9), (E3_DESC, 3, 27, 9),
+    (E5_DESC, 2, 25, 25), (E5_DESC, 3, 125, 25),
+], ids=["E3-m2", "E3-m3", "E5-m2", "E5-m3"])
+def test_oracle_output_is_pinned(desc, level, order, kernel):
+    # [DERIVED] both curves have p-rank 2 (Z_3 x Z/3Z, Z_5 x Z/5Z): the
+    # whole output, so a change of model size or of verdict keys shows
+    argv = ["oracle", "-", "-m", str(level)]
+    text = run_cli(argv, input=json.dumps(desc))
+    assert (text.exit_code, text.stdout, text.stderr) == (
+        0, f"order {order}, p_rank 2, kernel {kernel}: pass\n", "")
+    as_json = run_cli(argv + ["--json"], input=json.dumps(desc))
+    assert (as_json.exit_code, as_json.stdout, as_json.stderr) == (
+        0, f'{{"kernel_size": {kernel}, "order": {order}, "p_rank": 2, '
+           f'"predicted_rank": 2, "verdict": "pass"}}\n', "")
+
+
 def test_rational_string_coefficients(tmp_path):
     # "n/d" strings and coefficient vectors are accepted
     desc = {"p": 5, "field": {"kind": "unramified", "n": 1},

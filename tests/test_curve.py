@@ -4,13 +4,15 @@ import random
 import pytest
 
 from e0struct import curve
-from e0struct.classifier import classify_general
+from e0struct.classifier import (classify_congruence, classify_general,
+                                 classify_unramified, ramified_g_map)
 from e0struct.curve import (INFINITY, CurvePoint, NotInE0, Transform,
                             WeierstrassCurve, filtration_level,
                             normalize_additive, psi_E0, reduce_point,
                             reduction_type)
-from e0struct.formal_group import t_of_multiple
+from e0struct.formal_group import g_polynomial, t_of_multiple
 from e0struct.local_field import LocalField, PrecisionExhausted
+from e0struct.oracle import finite_model
 from e0struct.residue_field import FiniteField, frobenius_inverse
 
 from conftest import (FIXTURE_COEFFS, contains, make_curve, point_add,
@@ -151,10 +153,34 @@ def test_filtration_positive_level(Q3):
 
 def test_not_in_e0_raises(Q2):
     E = make_curve(Q2, FIXTURE_COEFFS["E8"][1])
-    with pytest.raises(NotInE0):
+    with pytest.raises(NotInE0, match="^point reduces to the singular locus$"):
         filtration_level(E, E.point(0, 0))
-    with pytest.raises(NotInE0):
+    with pytest.raises(NotInE0, match="^point reduces to the singular locus$"):
         psi_E0(E, E.point(0, 0))
+
+
+NOT_NORMALIZED = ("model is not normalized (some a_i is a unit); "
+                  "normalize_additive moves every a_i into m_K")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda E3, _: classify_unramified(E3),
+    lambda E3, _: classify_congruence(E3),
+    lambda _, E2: ramified_g_map(E2),
+    lambda E3, _: g_polynomial(E3),
+    lambda E3, _: psi_E0(E3, INFINITY),
+    lambda E3, _: finite_model(E3, 2),
+], ids=["classify_unramified", "classify_congruence", "ramified_g_map",
+        "g_polynomial", "psi_E0", "finite_model"])
+def test_unnormalized_model_is_refused_in_one_place(Q3, Q2sqrt2, entry):
+    # E3 over Q_3 and E2 over Q_2(sqrt 2), each moved by X = X' + 1,
+    # Y = Y' + X' + 2: a1 = 2 over Q_3 and a4 = -3 over Q_2(sqrt 2) are units
+    E3, E2 = (Transform(K, 1, 1, 2).apply(make_curve(K, FIXTURE_COEFFS[n][1]))
+              for K, n in ((Q3, "E3"), (Q2sqrt2, "E2")))
+    assert not (E3.is_normalized() or E2.is_normalized())
+    with pytest.raises(ValueError) as exc:
+        entry(E3, E2)
+    assert str(exc.value) == NOT_NORMALIZED
 
 
 def test_normalize_rejects_multiplicative(Q5):

@@ -168,35 +168,67 @@ def test_ramified_model(Q2sqrt2):
 
 def test_level_one_model_over_cubic_eisenstein():
     # [DERIVED] at M = 1 the model is k^+ = F_3, so order 3, p-rank 1 and
-    # kernel 3.  D = 8 is a power of 2 and a1 = pi has v_3(a1^8) = 8/3 < 3,
-    # so the inverse series 1/(1 - a1 t - ...) mod 3^3 needs a Newton step
-    # past the one that first reaches degree 8
+    # kernel 3
     f = LocalField.eisenstein(3, (-3, 3, -3, 1), 9)
     pi = f.element((0, 1))
     E = WeierstrassCurve(f, pi, f.zero(), f.zero(), f.zero(), pi)
     m = finite_model(E, 1)
-    assert m.D == 8
     assert (m.order, m.p_rank(), m.kernel_count()) == (3, 1, 3)
     assert np.array_equal(m.mult_p_series(), _engine_mult_p_series(m))
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_unit_inversion_reaches_a_power_of_two_degree(nvars):
+    # [DERIVED] 1/(1 - pi (S + T)) mod 3^3 over the cubic Eisenstein field
+    # has pi^8 (S + T)^8 at degree D = 8, nonzero as v_3(pi^8) = 8/3 < 3:
+    # Newton's steps reach degree 2, 4, 8, so one more step is needed once
+    # degree 8 is first reached, and the inverse must be right there
+    ring = _Ring(LocalField.eisenstein(3, (-3, 3, -3, 1), 9), 3)
+    D = 8
+    one = np.zeros((D + 1,) * nvars + (ring.d,), dtype=np.int64)
+    one[(0,) * (nvars + 1)] = 1
+    A = one.copy()
+    for axis in range(nvars):  # -pi at S and at T: coordinate 1 is pi
+        A[tuple(np.eye(nvars, dtype=int)[axis]) + (1,)] = ring.q - 1
+    z = ring.invert_unit(A)
+    assert np.array_equal(ring.series_mul(A, z), one)
+    top = np.indices(A.shape[:-1]).sum(axis=0) == D
+    assert z[top].any()
+
+
+@pytest.mark.parametrize("M", range(1, 11))
+def test_truncation_degree_is_the_least_the_proof_allows(M):
+    # [DERIVED] the least D >= 3 with ceil(D/6) >= M: a dropped coefficient
+    # of weight >= D has at least ceil(D/6) factors a_j in m_K
+    D = oracle.truncation_degree(M)
+    assert -(-D // 6) >= M and D >= 3
+    assert D == 3 or -(-(D - 1) // 6) < M
+    E = make_curve(LocalField.unramified(2, 1, 12), FIXTURE_COEFFS["E2"][1])
+    assert finite_model(E, M).D == D
+
+
 def test_int64_bound_refuses_p1087():
-    # [DERIVED] at M = 1 the ring is Z/1087^3 and D = 8: the series
-    # product can sum 25 products below 1087^6, about 2^65.2
+    # [DERIVED] at M = 1 the ring is Z/1087^3 and D = 3: the series
+    # product can sum (D + 2)^2 // 4 = 6 products below 1087^6, about
+    # 2^63.1
     f = LocalField.unramified(1087, 1, 4)
     E = make_curve(f, (1087,) * 5)
-    with pytest.raises(ModelTooLarge, match=r"2\^65\.2.*int64"):
+    with pytest.raises(ModelTooLarge, match=r"2\^63\.1.*int64"):
         finite_model(E, 1)
 
 
 def test_int64_bound_edge_at_level_one():
-    # 25 * (p^3 - 1)^2 < 2^63 holds up to p = 839 and fails from 853 on
-    refused = LocalField.unramified(853, 1, 4)
+    # [DERIVED] at M = 1, D = 3 and the bound is 6 * (p^3 - 1)^2 for d = 1,
+    # below 2^63 up to p = 1069 and past it from the next prime, 1087, on
+    D = oracle.truncation_degree(1)
+    assert [(D + 2) ** 2 // 4 * (p ** 3 - 1) ** 2 < 2 ** 63
+            for p in (1069, 1087)] == [True, False]
+    refused = LocalField.unramified(1087, 1, 4)
     with pytest.raises(ModelTooLarge):
-        finite_model(make_curve(refused, (853,) * 5), 1)
-    f = LocalField.unramified(839, 1, 4)
-    m = finite_model(make_curve(f, (839,) * 5), 1)
-    assert (m.order, m.p_rank(), m.kernel_count()) == (839, 1, 839)
+        finite_model(make_curve(refused, (1087,) * 5), 1)
+    f = LocalField.unramified(1069, 1, 4)
+    m = finite_model(make_curve(f, (1069,) * 5), 1)
+    assert (m.order, m.p_rank(), m.kernel_count()) == (1069, 1, 1069)
 
 
 def _poly_mul_mod(u, v, poly, q):
