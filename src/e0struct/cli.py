@@ -14,7 +14,6 @@ deterministic (sorted keys)."""
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -194,7 +193,7 @@ def formal_group(p, n_series, degree, as_json):
 
 def verify_point(input, precision, as_json):
     """Check each descriptor point: on-curve, E_0 membership, filtration
-    level, and torsion order."""
+    level, and whether [p]P = O."""
     if precision < 1:
         raise ValueError("--precision must be >= 1")
     desc, E = _curve(input)
@@ -207,8 +206,13 @@ def verify_point(input, precision, as_json):
 
 
 def _verify_one(report, raw, precision):
+    """One point's answer, from t([p]P) on the ladder (known to the
+    precision of t(P)).  Nonzero there proves [p]P != O, and a certified
+    torsion part has exponent p, so P has infinite order; an exploratory
+    report claims no exponent.  Zero there labels P p-torsion, a label
+    that needs t([p]P) known mod m^precision."""
     E, tr = report.curve, report.transform
-    field = E.field
+    p = E.field.p
     P = build_point(E, raw)
     if tr is not None:
         P = tr.forward(P)
@@ -229,48 +233,26 @@ def _verify_one(report, raw, precision):
                     "text": "not in E_0 (reduces to singular point)"})
         return out
     out.update({"in_E0": True, "level": level})
-    if report.certified and not report.structure.torsion:
-        # E_0(K) is pro-p, so in a certified torsion-free group every
-        # point but the identity has infinite order
+    # E_0(K) is pro-p, so in a certified torsion-free group every point
+    # but the identity has infinite order, and no ladder is needed
+    if not report.certified or report.structure.torsion:
+        tp = t_of_multiple(E.a, p, psi_E0(E, P))
+        if tp.valuation_or_none() is None:
+            if tp.prec < precision:
+                raise PrecisionExhausted(
+                    f"t([p]P) known mod m^{tp.prec}; the torsion check "
+                    f"needs m^{precision}")
+            out["order"] = p
+            out["text"] = f"in E_0, level {level}, {p}-torsion"
+            return out
+    if report.certified:
         out["order"] = "infinite"
         out["text"] = (f"in E_0, level {level}, infinite order "
                        f"(group is {report.structure})")
-        return out
-    t = psi_E0(E, P)
-    t_mult = functools.cache(
-        lambda j: t_of_multiple(E.a, field.p ** j, t))
-    order = _torsion_order(t_mult, field.p, precision)
-    if order is not None and precision < field.M:
-        # [p](T) is 0 mod m for every T in m, so a congruence below the
-        # descriptor's precision M holds for points of infinite order too:
-        # a torsion label needs the congruence at M, which the t([p^j]P)
-        # in hand decide, known as they are to the precision of t(P)
-        precision = field.M
-        order = _torsion_order(t_mult, field.p, precision)
-    if order is not None:
-        out["order"] = order
-        out["text"] = f"in E_0, level {level}, {order}-torsion"
-        return out
-    out["order"] = f"not p^j-torsion for j <= 2 (mod m^{precision})"
-    out["text"] = f"in E_0, level {level}, {out['order']}"
+    else:
+        out["order"] = "not p-torsion"
+        out["text"] = f"in E_0, level {level}, not p-torsion"
     return out
-
-
-def _torsion_order(t_mult, p, precision):
-    """p^j for the least j <= 2 with [p^j]P = O mod m^precision, or None.
-    t_mult(j) is t([p^j]P), from the ladder on the point P itself
-    (formal_group.t_of_multiple), known to the precision of t(P); a
-    value known below m^precision decides nothing and is refused."""
-    for j in (1, 2):
-        tj = t_mult(j)
-        if tj.prec < precision:
-            raise PrecisionExhausted(
-                f"t([{p}^{j}]P) known mod m^{tj.prec}; the torsion check "
-                f"needs m^{precision}")
-        v = tj.valuation_or_none()
-        if v is None or v >= precision:
-            return p ** j
-    return None
 
 
 def oracle(input, level, as_json):
@@ -329,8 +311,8 @@ def _parser(prog):
                     help="Truncation degree for the printed series.")
     reads_input(command("verify-point", verify_point)).add_argument(
         "--precision", type=int, default=4, help=(
-            "Least precision (powers of m_K) of a torsion check; a torsion "
-            "label is checked again at the descriptor's precision."))
+            "Least precision (powers of m_K) at which t([p]P) must read 0 "
+            "for a point to be labelled p-torsion."))
     reads_input(command("oracle", oracle)).add_argument(
         "-m", "--level", type=int, default=4,
         help="Quotient level M for the finite model.")

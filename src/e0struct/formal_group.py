@@ -52,11 +52,11 @@ def w_series(a, D: int) -> Series:
     return Series(1, D, {(n,): v for n, v in c.items()})
 
 
-def _unit_inverse(x, residue):
+def _unit_inverse(x):
     """x^-1 for a unit x of the operand ring: a series over the
-    coefficient ring whose constant term has the inverse `residue`, or an
-    element of O_K, whose inverse then reduces to `residue`."""
-    return x.invert_unit(residue) if isinstance(x, Series) else x.invert()
+    coefficient ring with constant term 1 (each one the ladder inverts),
+    or a unit of O_K."""
+    return x.invert_unit(1) if isinstance(x, Series) else x.invert()
 
 
 def _chord_sum(a, lam, nu, t1, t2):
@@ -79,7 +79,7 @@ def _chord_sum(a, lam, nu, t1, t2):
     A = a2 * lam + a4 * lam2 + a6 * (lam2 * lam) + 1
     N = B + (t1 + t2) * A
     V = lam * N - nu * A
-    inv = _unit_inverse(A + a1 * N + a3 * V, 1)
+    inv = _unit_inverse(A + a1 * N + a3 * V)
     return N * inv, V * inv
 
 
@@ -135,7 +135,7 @@ def _double(a, P):
     a1, a2, a3, a4, a6 = a
     t, w = P
     G_t = 3 * (t * t) + a1 * w + (2 * a2) * (t * w) + a4 * (w * w)
-    lam = G_t * _unit_inverse(_omega_den(a, t, w), 1)
+    lam = G_t * _unit_inverse(_omega_den(a, t, w))
     return _chord_sum(a, lam, w - lam * t, t, t)
 
 
@@ -143,7 +143,7 @@ def _add_next(a, P, Q):
     """[k]P + [k+1]P by the chord slope (w_Q - w_P)/(t_Q - t_P).  t is
     additive on the cusp, so t_Q - t_P = t(P) mod m, a unit."""
     (t1, w1), (t2, w2) = P, Q
-    lam = (w2 - w1) * _unit_inverse(t2 - t1, 1)
+    lam = (w2 - w1) * _unit_inverse(t2 - t1)
     return _chord_sum(a, lam, w1 - lam * t1, t1, t2)
 
 
@@ -203,7 +203,7 @@ def _unit_point(a, t):
         ww = w * w
         G = (tt * t + a1 * (t * w) + a2 * (tt * w) + a3 * ww
              + a4 * (t * ww) + a6 * (w * ww) - w)
-        w = w + G * _unit_inverse(_omega_den(a, t, w), 1)
+        w = w + G * _unit_inverse(_omega_den(a, t, w))
     return t, w
 
 

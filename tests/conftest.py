@@ -16,6 +16,18 @@ def make_curve(field, a):
         field, *[field.embed_integral_rational(c) for c in a])
 
 
+def change_coords(a, r, s, t):
+    """The integer model for x = x' + r, y = y' + s*x' + t (Silverman
+    III.1 with u = 1): the same curve, in general no longer normalized."""
+    a1, a2, a3, a4, a6 = a
+    return (a1 + 2 * s,
+            a2 - s * a1 + 3 * r - s * s,
+            a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
+            - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
+
+
 def random_normalized_curve(field, rng, span=6):
     """a_i drawn from m_K/m_K^span, Delta != 0 at precision."""
     while True:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from e0struct.classifier import (GroupStructure, _ramified_lattice,
-                                 classify_congruence, classify_general,
-                                 classify_unramified, ramified_g_map)
+from e0struct.classifier import (GroupStructure, _m_mod_coords,
+                                 _ramified_lattice, classify_congruence,
+                                 classify_general, classify_unramified,
+                                 ramified_g_map)
 from e0struct.cli import build_curve, build_field
 from e0struct.curve import Transform
 from e0struct.formal_group import (eval_at, formal_log, log_degree,
@@ -14,7 +15,8 @@ from e0struct.formal_group import (eval_at, formal_log, log_degree,
 from e0struct.local_field import LocalField, PrecisionExhausted, _vp
 from e0struct.oracle import finite_model
 
-from conftest import FIXTURE_COEFFS, make_curve, random_normalized_curve
+from conftest import (FIXTURE_COEFFS, change_coords, make_curve,
+                      random_normalized_curve)
 
 
 def test_group_structure_str_and_json():
@@ -143,18 +145,6 @@ def test_random_normalized_curve_is_normalized(Q5):
         assert E.is_normalized()
 
 
-def _change_coords(a, r, s, t):
-    """The integer model for x = x' + r, y = y' + s*x' + t (Silverman
-    III.1 with u = 1): the same curve, in general no longer normalized."""
-    a1, a2, a3, a4, a6 = a
-    return (a1 + 2 * s,
-            a2 - s * a1 + 3 * r - s * s,
-            a3 + r * a1 + 2 * t,
-            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
-            - 2 * s * t,
-            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
-
-
 def _monotonicity_models():
     """(p, n, a, rst) integer models: the fixtures over their Q_p, E2, E3
     and E7 over F_{p^2}, and three seeded a_i = p*r, r < p^3, per (p, n);
@@ -196,7 +186,7 @@ def test_certified_answer_is_monotone_in_precision(p, n, a, rst):
 
     top = classify(12, a)
     assert top.certified
-    given = a if rst is None else _change_coords(a, *rst)
+    given = a if rst is None else change_coords(a, *rst)
     for M in range(1, 13):
         try:
             r = classify(M, given)
@@ -404,6 +394,42 @@ def test_ladder_matches_the_mult_by_p_series():
         cut = t_of_multiple(_cut(E, target), p, one)
         assert cut.prec == target and cut == series, K.poly
         assert t_of_multiple(E.a, p, one) == series, K.poly
+
+
+def _g_coords_from_the_ladder(E):
+    """g(1) in m/m^{1+e}, read from the ladder alone: for the point P with
+    t(P) = 1, y = log t([p]P) = t([p^{k+1}]P)/p^k mod m^{1+e}, with k = 1
+    for p >= 3 and k = 2 for p = 2, and t([p^{k+1}]P) known mod
+    m^{1+e+k*e} from the a_j cut there (ROADMAP item 10)."""
+    K = E.field
+    p, e = K.p, K.e
+    k = 2 if p == 2 else 1
+    target = 1 + e
+    z = t_of_multiple(_cut(E, target + k * e), p ** (k + 1), K.one())
+    # p^k = pi^(k*e) * u for the unit u = p^k / pi^(k*e)
+    u = K.element([p ** k]).shift_down(k * e)
+    y = z.shift_down(k * e) * u.invert()
+    assert y.prec >= target
+    return _m_mod_coords(y.as_k(), K)
+
+
+def test_ramified_g_map_matches_the_ladder_alone():
+    # [DERIVED] log is an isometry on [p]Ehat(m) (AEC IV.6.4 for p >= 3,
+    # e < p - 1; for p = 2, e = 2, on m^3, which [2] maps m into), so
+    # log t([p]P) = t([p^{k+1}]P)/p^k mod m^{1+e}.  That shares only the
+    # ladder with ramified_g_map: it checks formal_log, log_degree's tail
+    # bound and the log's evaluation over K.  The RAMIFIED_MODELS and
+    # x^5 + 7 curves, then eleven seeded span-3 curves per field
+    curves = _ramified_curves()
+    rng = random.Random(10)
+    for p, poly in [(2, (-2, 0, 1)), (2, (-2, 2, 1)), (5, (-5, 0, 0, 1)),
+                    (7, (-7, 0, 1)), (7, (7, 0, 0, 0, 0, 1))]:
+        K = LocalField.eisenstein(p, poly, 12 * (len(poly) - 1))
+        curves += [random_normalized_curve(K, rng, span=3) for _ in range(11)]
+    for E in curves:
+        coords = ramified_g_map(E).evidence["g_image_coords"]
+        assert coords == _g_coords_from_the_ladder(E), (
+            E.field.poly, [list(a.coeffs) for a in E.a])
 
 
 def _hnf(rows):

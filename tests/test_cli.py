@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -8,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from e0struct.cli import build_field
 from e0struct.curve import Transform
 from e0struct.local_field import LocalField
 
-from conftest import make_curve, run_cli
+from conftest import change_coords, make_curve, point_mul, run_cli
 
 
 def write_desc(tmp_path, desc, name="curve.json"):
@@ -158,8 +161,9 @@ def test_verify_point_infinite_order(tmp_path):
 
 
 def test_verify_point_certified_torsion_free_at_precision_1(tmp_path):
-    # the group Z_2 is certified torsion-free, so the [2^j] congruences
-    # mod m^1 (which every point of E_1 satisfies) are not read
+    # the group Z_2 is certified torsion-free, so no ladder runs and the
+    # [2] congruence mod m^1 (which every point of E_1 satisfies) is not
+    # read
     desc = {"p": 2, "field": {"kind": "unramified", "n": 1},
             "a": [0, 0, 0, 0, -2], "precision": 12,
             "points": [{"x": 3, "y": 5}]}
@@ -172,29 +176,33 @@ def test_verify_point_certified_torsion_free_at_precision_1(tmp_path):
 @pytest.mark.parametrize("precision", ["1", "2"])
 def test_verify_point_low_precision_congruence_is_not_torsion(tmp_path, precision):
     # (-11, 38) on E5 has infinite order, but [5](T) = 0 mod m for every
-    # T in m, so [5^j]P = O holds mod m^1 and m^2; the label needs the
-    # congruence at the descriptor's precision 12, where it fails
+    # T in m, so [5]P = O holds mod m^1 and m^2; t([5]P) is known mod
+    # m^12, the descriptor's precision, and is not 0 there, and the
+    # certified torsion Z/5Z has exponent 5, so P is not torsion
     desc = dict(E5_DESC, points=[{"x": -11, "y": 38}])
     res = run_cli(["verify-point", write_desc(tmp_path, desc),
                    "--precision", precision])
     assert res.exit_code == 0
-    assert res.output == ("in E_0, level 0, not p^j-torsion for j <= 2 "
-                          "(mod m^12)\n")
+    assert res.output == ("in E_0, level 0, infinite order "
+                          "(group is Z_5 x Z/5Z)\n")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a torsion label "
-                   "needs a witness, not a congruence mod m^precision")
-@pytest.mark.parametrize("precision", [2, 3])
+@pytest.mark.parametrize("precision", [
+    pytest.param(2, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: a torsion label needs a "
+        "witness, not a congruence mod m^precision")),
+    3])
 def test_verify_point_low_precision_descriptor_is_not_torsion(precision):
     # (-11, 38) on E5 has infinite order, but [5](T) = 0 mod m for every
-    # T in m: with the descriptor itself known only mod m^2 (m^3), the
-    # [5] ([25]) congruence holds at every precision it can check, and the
-    # point is labelled 5-torsion (25-torsion)
+    # T in m.  With the descriptor known mod m^3, t([5]P) is known mod m^3
+    # and is not 0 there, which proves infinite order; known mod m^2 it
+    # reads 0, and the point is labelled 5-torsion
     desc = dict(E5_DESC, precision=precision, points=[{"x": -11, "y": 38}])
     res = run_cli(["verify-point", "-", "--precision", str(precision)],
                   input=json.dumps(desc))
     assert res.exit_code == 0
-    assert "5-torsion" not in res.output
+    assert res.output == ("in E_0, level 0, infinite order "
+                          "(group is Z_5 x Z/5Z)\n")
 
 
 def _times_over_q(a, n, P):
@@ -222,8 +230,8 @@ def test_verify_point_in_E1():
     desc = dict(E5_DESC, points=[{"x": str(x), "y": str(y)}])
     res = run_cli(["verify-point", "-"], input=json.dumps(desc))
     assert res.exit_code == 0
-    assert res.output == ("in E_0, level 2, not p^j-torsion for j <= 2 "
-                          "(mod m^12)\n")
+    assert res.output == ("in E_0, level 2, infinite order "
+                          "(group is Z_5 x Z/5Z)\n")
 
 
 @pytest.mark.parametrize("a", [[0, 0, 2, 0, -2], [28, 14, 26, 14, 28]],
@@ -255,6 +263,78 @@ def test_verify_point_off_curve(tmp_path):
     res = run_cli(["verify-point", write_desc(tmp_path, desc)])
     assert res.exit_code == 1
     assert "not on curve" in res.stderr
+
+
+def _on_curve(a, P):
+    a1, a2, a3, a4, a6 = a
+    x, y = P
+    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+# certified fields (Q_p, F_4, F_9), then Eisenstein (exploratory) ones
+VERIFY_FIELDS = [(p, {"kind": "unramified", "n": 1}) for p in (2, 3, 5, 7, 11)]
+VERIFY_FIELDS += [(p, {"kind": "unramified", "n": 2}) for p in (2, 3)]
+VERIFY_FIELDS += [(p, {"kind": "eisenstein", "poly": poly}) for p, poly in
+                  ((2, [-2, 0, 1]), (5, [-5, 0, 0, 1]), (7, [-7, 0, 1]))]
+
+
+def _verify_cases(rng):
+    """(p, a, P, M, descriptor): a_1..a_4 in pZ, a point
+    P = (s^2 + p*r, s^3 + p*r') with s a unit, and a_6 solved so that P
+    lies on the curve; every other unramified curve is presented moved
+    by a change of coordinates with r, s, t drawn from 1..p^2 - 1."""
+    for p, field in VERIFY_FIELDS:
+        for i in range(5):
+            s = rng.choice([u for u in range(1, p * p) if u % p])
+            x = s * s + p * rng.randrange(-p * p, p * p)
+            y = s ** 3 + p * rng.randrange(-p * p, p * p)
+            a1, a2, a3, a4 = (p * rng.randrange(-p * p, p * p)
+                              for _ in range(4))
+            a = (a1, a2, a3, a4,
+                 y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x)
+            shown, Q = a, (x, y)
+            if field["kind"] == "unramified" and i % 2:
+                r, s, t = (rng.randrange(1, p * p) for _ in range(3))
+                shown = change_coords(a, r, s, t)
+                Q = (x - r, y - s * (x - r) - t)
+            assert _on_curve(a, (x, y)) and _on_curve(shown, Q)
+            for M in (2, 3, 4, 6, 12):
+                yield p, a, (x, y), M, {
+                    "p": p, "field": field, "a": list(shown), "precision": M,
+                    "points": [{"x": Q[0], "y": Q[1]}]}
+
+
+def test_verify_point_answers_from_p_times_the_point():
+    # [DERIVED] each answer rests on t([p]P) alone: a label p-torsion, and
+    # never p^j for j >= 2; "infinite order" only where the report is
+    # certified (its torsion has exponent p), "not p-torsion" only where
+    # it is exploratory.  The affine chord-tangent law of the tests
+    # confirms [p]P != O: at the descriptor's precision M where the
+    # answer came from the ladder (a group with torsion), and on the same
+    # integer model at M + 10 where a certified torsion-free group
+    # answered without a ladder
+    answers = {"certified": 0, "exploratory": 0, "checked at M": 0}
+    t0 = time.perf_counter()
+    for p, a, P, M, desc in _verify_cases(random.Random(33)):
+        res = run_cli(["verify-point", "-"], input=json.dumps(desc))
+        if res.exit_code == 1:
+            continue
+        out = res.output
+        assert "p^j" not in out
+        assert all(int(n) == p for n in re.findall(r"(\d+)-torsion", out))
+        answers["certified" if res.exit_code == 0 else "exploratory"] += 1
+        assert ("infinite order" in out) <= (res.exit_code == 0), desc
+        assert ("not p-torsion" in out) <= (res.exit_code == 2), desc
+        if "infinite order" in out:
+            ladder = "Z/" in out
+            answers["checked at M"] += ladder
+            E = make_curve(build_field(desc, M if ladder else M + 10), a)
+            pP = point_mul(E, p, E.point(*P))
+            assert not pP.is_infinity, desc
+            assert not (-(pP.x / pP.y)).is_zero_at_precision(), desc
+    assert time.perf_counter() - t0 < 3.0
+    assert answers["certified"] + answers["exploratory"] >= 150, answers
+    assert all(answers.values()), answers
 
 
 def test_oracle_command(tmp_path):
@@ -512,14 +592,13 @@ def test_classify_unnormalized_large_residue_field(desc, expected):
 @pytest.mark.parametrize("desc, precision, ladders, text", [
     (dict(E2_DESC, points=[{"x": 1, "y": -1}]), "4", [2],
      "in E_0, level 0, 2-torsion\n"),
-    (dict(E5_DESC, points=[{"x": -11, "y": 38}]), "1", [5, 25],
-     "in E_0, level 0, not p^j-torsion for j <= 2 (mod m^12)\n"),
+    (dict(E5_DESC, points=[{"x": -11, "y": 38}]), "1", [5],
+     "in E_0, level 0, infinite order (group is Z_5 x Z/5Z)\n"),
 ], ids=["E2-torsion", "E5-infinite"])
 def test_verify_point_runs_each_ladder_once(desc, precision, ladders, text,
                                             monkeypatch):
-    # [DERIVED] a low-precision hit is checked again at the descriptor's
-    # M from the t([p^j]P) in hand, known to the precision of t(P): no
-    # ladder runs twice
+    # [DERIVED] each point's answer is read from t([p]P) alone, known to
+    # the precision of t(P): one ladder, for n = p
     import e0struct.cli as cli
 
     calls = []
@@ -535,7 +614,7 @@ def test_verify_point_runs_each_ladder_once(desc, precision, ladders, text,
 @pytest.mark.parametrize("argv, twin_output", [
     (["verify-point", "-"],
      "in E_0, level 0, 5-torsion\n"
-     "in E_0, level 0, not p^j-torsion for j <= 2 (mod m^4)\n"
+     "in E_0, level 0, infinite order (group is Z_5 x Z/5Z)\n"
      "infinity: identity\n"),
     (["oracle", "-", "-m", "3"], "order 125, p_rank 2, kernel 25: pass\n"),
 ], ids=["verify-point", "oracle"])

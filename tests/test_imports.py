@@ -134,8 +134,9 @@ def _tracer():
 def test_trace_targets_without_a_caller_in_src():
     # [DERIVED] the benchmark times these names although nothing in src/
     # calls them, so their metrics read 0; they stay in src/ only for the
-    # tracer (ROADMAP item 5, the trace spine).  Operators reach the dunder targets.  A new
-    # orphan, or one that gains a caller or leaves, fails here
+    # tracer, until ROADMAP item 14 retargets its metrics and moves them
+    # into the tests.  Operators reach the dunder targets.  A new orphan,
+    # or one that gains a caller or leaves, fails here
     called = _called_names()
     tracer = _tracer()
     orphans = {(modname, attr) for _name, modname, attr
