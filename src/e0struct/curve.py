@@ -8,7 +8,7 @@ vector."""
 from __future__ import annotations
 
 from .local_field import LocalField, OElement, KElement, PrecisionExhausted
-from .residue_field import ff_trace, frobenius_inverse
+from .residue_field import frobenius_inverse
 
 
 class NotInE0(ValueError):
@@ -113,14 +113,12 @@ INFINITY = CurvePoint()
 
 
 class ReductionType:
-    """Tag in {good, multiplicative, additive}; for bad reduction, the
-    unique singular point of the special fiber and (for nodes) whether
-    the tangents are rational."""
+    """Tag in {good, multiplicative, additive}; for additive reduction,
+    the cusp: the unique singular point of the special fiber."""
 
-    def __init__(self, tag, singular_point=None, split=None):
+    def __init__(self, tag, singular_point=None):
         self.tag = tag
         self.singular_point = singular_point
-        self.split = split
 
     def __repr__(self):
         extra = f", singular={self.singular_point}" if self.singular_point else ""
@@ -129,13 +127,13 @@ class ReductionType:
 
 def reduction_type(E: WeierstrassCurve) -> ReductionType:
     """Classify the special fiber of THIS model (no minimality search),
-    once per curve.
+    once per curve: good for a unit discriminant, multiplicative (a node,
+    given by its tag alone) for c4bar != 0, and additive otherwise.
 
-    The singular point and its tangent directions are closed forms in the
-    reduced coefficients (Silverman, Advanced Topics IV.9; Cremona,
-    Algorithms for Modular Elliptic Curves 3.2): the fiber is nodal iff
-    c4bar != 0, and at (x0, y0) the tangent directions are the roots of
-    z^2 + a1 z - (a2 + 3 x0), of discriminant b2 + 12 x0 for odd p."""
+    The cusp is a closed form in the reduced coefficients (Silverman,
+    Advanced Topics IV.9; Cremona, Algorithms for Modular Elliptic Curves
+    3.2): x0 = sqrt(a4) for p = 2, cbrt(-b6) for p = 3 and -b2/12 for
+    p > 3."""
     if E._reduction is None:
         E._reduction = _reduction_type(E)
     return E._reduction
@@ -158,41 +156,24 @@ def require_normalized(E: WeierstrassCurve) -> WeierstrassCurve:
 
 
 def _reduction_type(E):
-    vd = E.disc.valuation_or_none()
-    if vd == 0:
+    if E.disc.valuation_or_none() == 0:
         return ReductionType("good")
-    k = E.field.residue
-    p = k.p
+    if E.c4.reduce():
+        return ReductionType("multiplicative")
     a1, a2, a3, a4, a6 = E.reduced_coeffs()
-    # reduction is a ring map, so these are the invariants of the reduced a_i
-    b2, b4, b6, c4, c6 = (v.reduce() for v in (E.b2, E.b4, E.b6, E.c4, E.c6))
-    node = bool(c4)
-    if p == 2:
-        if node:
-            x0 = a3 / a1
-            y0 = (x0 * x0 + a4) / a1
-        else:
-            x0 = frobenius_inverse(a4)
-            y0 = frobenius_inverse(((x0 + a2) * x0 + a4) * x0 + a6)
+    if E.field.p == 2:  # c4bar = a1^4 = 0, so the x-partial is x^2 + a4
+        x0 = frobenius_inverse(a4)
+        y0 = frobenius_inverse(((x0 + a2) * x0 + a4) * x0 + a6)
     else:
-        if p == 3:
-            x0 = -b4 / b2 if node else frobenius_inverse(-b6)
-        elif node:
-            x0 = -(c6 / c4 + b2) / 12
-        else:
-            x0 = -b2 / 12
+        # reduction is a ring map, so b2 and b6 reduce to those of the a_i
+        x0 = (frobenius_inverse(-E.b6.reduce()) if E.field.p == 3
+              else -E.b2.reduce() / 12)
         y0 = -(a1 * x0 + a3) / 2
     eq = y0 * y0 + a1 * x0 * y0 + a3 * y0 - (((x0 + a2) * x0 + a4) * x0 + a6)
     dy = 2 * y0 + a1 * x0 + a3
     dx = a1 * y0 - (3 * x0 * x0 + 2 * a2 * x0 + a4)
     assert not (eq or dy or dx), f"({x0}, {y0}) is not a singular point"
-    if not node:
-        return ReductionType("additive", (x0, y0))
-    if p == 2:  # z = a1 w turns the tangent cone into w^2 + w = (a2 + x0)/a1^2
-        split = not ff_trace((a2 + x0) / (a1 * a1))
-    else:
-        split = (b2 + 12 * x0) ** ((k.order - 1) // 2) == k.one
-    return ReductionType("multiplicative", (x0, y0), split=split)
+    return ReductionType("additive", (x0, y0))
 
 
 class Transform:
@@ -258,7 +239,8 @@ def normalize_additive(E: WeierstrassCurve):
 
 def reduce_point(E: WeierstrassCurve, P: CurvePoint):
     """The image on the special fiber as a projective triple over k, plus
-    a flag telling whether it avoids the singular locus (P in E_0)."""
+    a flag telling whether it avoids the singular locus (P in E_0).  The
+    reduction must be good or additive."""
     k = E.field.residue
     if P.is_infinity:
         image = (k.zero, k.one, k.zero)
@@ -273,9 +255,8 @@ def reduce_point(E: WeierstrassCurve, P: CurvePoint):
     rt = reduction_type(E)
     if rt.tag == "good":
         return image, True
-    sx, sy = rt.singular_point
-    smooth = image != (sx, sy, k.one)
-    return image, smooth
+    sx, sy = require_additive(rt).singular_point
+    return image, image != (sx, sy, k.one)
 
 
 def _require_E0(E: WeierstrassCurve, P: CurvePoint):

@@ -56,7 +56,7 @@ def _unit_inverse(x):
     """x^-1 for a unit x of the operand ring: a series over the
     coefficient ring with constant term 1 (each one the ladder inverts),
     or a unit of O_K."""
-    return x.invert_unit(1) if isinstance(x, Series) else x.invert()
+    return x.invert_unit() if isinstance(x, Series) else x.invert()
 
 
 def _chord_sum(a, lam, nu, t1, t2):
@@ -86,21 +86,14 @@ def _chord_sum(a, lam, nu, t1, t2):
 def formal_sum(a, D: int) -> Series:
     """The formal group law F(T1, T2) by the chord construction."""
     w = w_series(a, D + 1)
-    S = Series.variable(2, D, 0)
-    T = Series.variable(2, D, 1)
-    # lambda = (w(t2) - w(t1))/(t2 - t1) = sum w_m * P_m with
-    # P_m = (S^m - T^m)/(S - T), built by P_m = S*P_{m-1} + T^{m-1}
-    lam = Series(2, D)
-    P = S + T
-    Tpow = T * T
-    for m in range(3, D + 2):
-        P = S * P + Tpow
-        Tpow = Tpow * T
-        cm = w.coefficient(m)
-        if not _is_zero_coeff(cm):
-            lam = lam + P.scale(cm)
-    w_at_s = Series(2, D, {(m, 0): v for (m,), v in w.c.items()})
-    return _chord_sum(a, lam, w_at_s - lam * S, S, T)[0]
+    # the slope lambda = (w(S) - w(T))/(S - T) has w_{i+j+1} at S^i T^j,
+    # and the intercept nu = w(S) - lambda*S has -w_{i+j} at i, j >= 1
+    lam = Series(2, D, {(i, m - 1 - i): v for (m,), v in w.c.items()
+                        for i in range(m)})
+    nu = Series(2, D, {(i, m - i): -v for (m,), v in w.c.items()
+                       for i in range(1, m)})
+    return _chord_sum(a, lam, nu, Series.variable(2, D, 0),
+                      Series.variable(2, D, 1))[0]
 
 
 _GEN_F = {}
@@ -249,7 +242,7 @@ def formal_log(a, D: int) -> Series:
     if a is GENERIC_A and D in _GEN_LOG:
         return _GEN_LOG[D]
     T = Series.variable(1, D - 1, 0)
-    log = _omega_den(a, T, w_series(a, D - 1)).invert_unit(1).integrate()
+    log = _omega_den(a, T, w_series(a, D - 1)).invert_unit().integrate()
     if a is GENERIC_A:
         _GEN_LOG[D] = log
     return log

@@ -1,9 +1,9 @@
 """Exact arithmetic in finite fields F_{p^n}.
 
-Provides the inverse Frobenius, the norm and trace maps down to the prime
-field, and kernel computation for additive polynomials (polynomials
-supported on p-power exponents only), which induce F_p-linear
-endomorphisms of the field.
+Provides the inverse Frobenius, the norm down to the prime field, and
+kernel computation for additive polynomials (polynomials supported on
+p-power exponents only), which induce F_p-linear endomorphisms of the
+field.
 """
 
 from __future__ import annotations
@@ -294,25 +294,10 @@ class FFElement:
         return self.coeffs[0]
 
 
-def frobenius(a: FFElement) -> FFElement:
-    """The p-power Frobenius x -> x^p."""
-    return a ** a.parent.p
-
-
 def frobenius_inverse(a: FFElement) -> FFElement:
     """The p-th root x -> x^(q/p), inverse of Frobenius on F_q."""
     k = a.parent
     return a ** (k.order // k.p)
-
-
-def ff_trace(a: FFElement) -> FFElement:
-    """Trace from F_{p^n} down to F_p: the sum of the Frobenius
-    conjugates a + a^p + ... + a^(p^(n-1))."""
-    acc = conj = a
-    for _ in range(a.parent.n - 1):
-        conj = frobenius(conj)
-        acc = acc + conj
-    return a.parent.prime_field().element(acc.as_int())
 
 
 def ff_norm(a: FFElement) -> FFElement:

@@ -228,9 +228,9 @@ class Series:
         return cls(nvars, trunc, {(0,) * nvars: v})
 
     @classmethod
-    def variable(cls, nvars, trunc, i, coeff=1):
+    def variable(cls, nvars, trunc, i):
         key = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, trunc, {key: coeff})
+        return cls(nvars, trunc, {key: 1})
 
     def __repr__(self):
         return f"Series(nvars={self.nvars}, D={self.trunc}, {len(self.c)} terms)"
@@ -319,14 +319,13 @@ class Series:
     def __pow__(self, n):
         return power(self, n, Series.const(self.nvars, self.trunc, 1))
 
-    def invert_unit(self, const_inv):
-        """Multiplicative inverse; const_inv must be the coefficient-ring
-        inverse of the constant term.  Solved from self*z = 1 monomial by
-        monomial in order of degree, z_k = -const_inv * sum s_j z_(k-j)
-        over 0 < j <= k, each sum one dot."""
+    def invert_unit(self):
+        """Multiplicative inverse of a series with constant term 1.
+        Solved from self*z = 1 monomial by monomial in order of degree,
+        z_k = -sum s_j z_(k-j) over 0 < j <= k, each sum one dot."""
         uni = self.nvars == 1
         terms = sorted((sum(j), j, v) for j, v in self.c.items() if any(j))
-        z = {(0,) * self.nvars: const_inv}
+        z = {(0,) * self.nvars: 1}
         for d in range(1, self.trunc + 1):
             for k in _monomials(self.nvars, d):
                 pairs = []
@@ -339,7 +338,7 @@ class Series:
                         pairs.append((v, r))
                 s = dot(pairs)
                 if not _is_zero_coeff(s):
-                    z[k] = -(const_inv * s)
+                    z[k] = -s
         return Series(self.nvars, self.trunc, z)
 
     # -- univariate helpers -------------------------------------------------

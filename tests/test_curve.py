@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -13,7 +12,7 @@ from e0struct.curve import (INFINITY, CurvePoint, NotInE0, Transform,
 from e0struct.formal_group import g_polynomial, t_of_multiple
 from e0struct.local_field import LocalField, PrecisionExhausted
 from e0struct.oracle import finite_model
-from e0struct.residue_field import FiniteField, frobenius_inverse
+from e0struct.residue_field import frobenius_inverse
 
 from conftest import (FIXTURE_COEFFS, contains, make_curve, point_add,
                       point_mul, point_neg)
@@ -43,16 +42,26 @@ def test_reduction_type_additive_fixtures(fixture_curves):
 def test_reduction_type_multiplicative_split(Q5):
     # [DERIVED] Y^2 = X^3 + X^2 + 5: node at (0,0), tangents z = +-1
     E = make_curve(Q5, (0, 1, 0, 0, 5))
-    rt = reduction_type(E)
-    assert rt.tag == "multiplicative" and rt.split is True
+    assert reduction_type(E).tag == "multiplicative"
 
 
 def test_reduction_type_multiplicative_nonsplit(Q5):
     # [DERIVED] Y^2 = X^3 + 2X^2 + 5: tangent slopes z^2 = 2, and 2 is
     # not a square mod 5
     E = make_curve(Q5, (0, 2, 0, 0, 5))
-    rt = reduction_type(E)
-    assert rt.tag == "multiplicative" and rt.split is False
+    assert reduction_type(E).tag == "multiplicative"
+
+
+def test_multiplicative_model_gets_the_additive_refusal(Q5):
+    # no node point is computed: reduce_point and filtration_level give
+    # the one refusal of every command for a multiplicative fibre
+    E = make_curve(Q5, (0, 1, 0, 0, 5))
+    P = E.point(0, 0)
+    for fn in (reduce_point, filtration_level):
+        with pytest.raises(ValueError) as info:
+            fn(E, P)
+        assert str(info.value) == ("reduction type: multiplicative "
+                                   "(additive required)"), fn
 
 
 def test_normalize_fixture_already_normal(Q2):
@@ -273,26 +282,11 @@ def test_ladder_matches_the_affine_law(name, coords, fixture_curves):
 
 # -- brute-force special fibre: the test oracle for the closed forms --------
 
-def _horner(coeffs, z, field):
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * z + field.element(c)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def _squared_extension(k):
-    """F_{q^2} and the embedding of k sending gen to a root of k's modulus
-    there, the root found by search."""
-    big = FiniteField(k.p, 2 * k.n)
-    root = next(z for z in big if not _horner(k.modulus, z, big))
-    return big, lambda a: _horner(a.coeffs, root, big)
-
-
 def brute_special_fibre(E):
-    """(tag, singular point, split) by exhaustive search: the singular
-    point over k x k, the tangent directions z^2 + a1 z - (a2 + 3 x0)
-    over F_{q^2}, and split iff the two directions lie in k."""
+    """(tag, cusp or None) by exhaustive search: the singular point over
+    k x k, and its tangent directions, the roots of z^2 + a1 z - (a2 + 3 x0)
+    in k.  A monic quadratic with exactly one root in k has a double
+    root there, the cusp's one tangent; a node has two roots or none."""
     k = E.field.residue
     a1, a2, a3, a4, a6 = E.reduced_coeffs()
     singular = [
@@ -302,13 +296,10 @@ def brute_special_fibre(E):
                 or a1 * y - (3 * x * x + 2 * a2 * x + a4))]
     assert len(singular) == 1, singular
     x0, y0 = singular[0]
-    big, embed = _squared_extension(k)
-    b, c = embed(a1), embed(a2 + 3 * x0)
-    roots = [z for z in big if z * z + b * z - c == big.zero]
+    roots = [z for z in k if z * z + a1 * z - (a2 + 3 * x0) == k.zero]
     if len(roots) == 1:
-        return "additive", (x0, y0), None
-    image = {embed(a) for a in k}
-    return "multiplicative", (x0, y0), all(z in image for z in roots)
+        return "additive", (x0, y0)
+    return "multiplicative", None
 
 
 def _singular_model(field, kind, rng):
@@ -346,16 +337,15 @@ def test_reduction_type_matches_brute_force(p, n):
     field = LocalField.unramified(p, n, 10)
     k = field.residue
     rng = random.Random(100 * p + n)
-    expected = {"split": ("multiplicative", True),
-                "nonsplit": ("multiplicative", False),
-                "cusp": ("additive", None)}
-    for kind, (tag, split) in expected.items():
+    expected = {"split": "multiplicative", "nonsplit": "multiplicative",
+                "cusp": "additive"}
+    for kind, tag in expected.items():
         for _ in range(2):
             E = _singular_model(field, kind, rng)
             brute = brute_special_fibre(E)
-            assert brute[0] == tag and brute[2] is split, (kind, brute)
+            assert brute[0] == tag, (kind, brute)
             rt = reduction_type(E)
-            assert (rt.tag, rt.singular_point, rt.split) == brute, kind
+            assert (rt.tag, rt.singular_point) == brute, kind
             if tag != "additive":
                 continue
             E2, tr = normalize_additive(E)

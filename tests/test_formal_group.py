@@ -82,9 +82,9 @@ def test_formal_sum_associative_small():
 
 def inverse_series(a, D):
     """i(t) with F(t, i(t)) = 0: the negation of the point (t, w(t)),
-    -(t, w) = (t, w)/(a1*t + a3*w - 1), so i(T) = T/(a1*T + a3*w(T) - 1)."""
+    -(t, w) = (t, w)/(a1*t + a3*w - 1), so i(T) = -T/(1 - a1*T - a3*w(T))."""
     T = Series.variable(1, D, 0)
-    return T * (a[0] * T + a[2] * w_series(a, D) - 1).invert_unit(-1)
+    return -(T * (-(a[0] * T + a[2] * w_series(a, D)) + 1).invert_unit())
 
 
 def test_inverse_series():

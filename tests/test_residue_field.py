@@ -4,8 +4,8 @@ import random
 import pytest
 
 from e0struct.residue_field import (AdditivePoly, FiniteField, _fp_kernel,
-                                    additive_poly_roots, ff_norm, frobenius,
-                                    is_prime)
+                                    additive_poly_roots, ff_norm,
+                                    frobenius_inverse, is_prime)
 
 from conftest import field_gen
 
@@ -29,17 +29,18 @@ def test_f4_structure():
     assert len(list(k)) == 4
 
 
-def test_frobenius_is_additive_and_fixes_prime_field():
-    # [TRIVIAL] x -> x^p is a field automorphism fixing F_p
-    k = FiniteField(3, 2)
-    rng = random.Random(1)
-    elems = list(k)
-    for _ in range(20):
-        a, b = rng.choice(elems), rng.choice(elems)
-        assert frobenius(a + b) == frobenius(a) + frobenius(b)
-        assert frobenius(a * b) == frobenius(a) * frobenius(b)
-    for c in range(3):
-        assert frobenius(k.element(c)) == k.element(c)
+def test_frobenius_inverse_is_pth_root_and_fixes_prime_field():
+    # [TRIVIAL] x -> x^(q/p) undoes x -> x^p on F_q and fixes F_p, on
+    # every field of order <= 49; the cusp for p = 2 and 3 is such a root
+    fields = [(p, n) for p in range(2, 50) if is_prime(p)
+              for n in range(1, 6) if p ** n <= 49]
+    assert len(fields) == 23
+    for p, n in fields:
+        k = FiniteField(p, n)
+        for a in k:
+            assert frobenius_inverse(a) ** p == a, (p, n, a)
+        for c in range(p):
+            assert frobenius_inverse(k.element(c)) == k.element(c)
 
 
 def test_norm_is_product_of_conjugates():
@@ -50,7 +51,7 @@ def test_norm_is_product_of_conjugates():
         conj = a
         prod = a
         for _ in range(k.n - 1):
-            conj = frobenius(conj)
+            conj = conj ** k.p
             prod = prod * conj
         n = ff_norm(a)
         assert prod.is_in_prime_field()

@@ -62,7 +62,7 @@ def test_wpoly_pretty_ordering():
 def test_series_geometric_inverse():
     # [DERIVED] 1/(1 - T) = 1 + T + T^2 + ...
     one_minus_t = Series.const(1, 8, 1) - Series.variable(1, 8, 0)
-    inv = one_minus_t.invert_unit(1)
+    inv = one_minus_t.invert_unit()
     for k in range(9):
         assert inv.coefficient((k,)) == 1
 
@@ -72,11 +72,11 @@ def test_invert_unit_at_every_truncation(trunc):
     # [DERIVED] the inverse is exact through every truncation degree, in
     # one and in two variables
     s = Series(1, trunc, {(k,): k + 1 for k in range(trunc + 1)})
-    z = s.invert_unit(1)
+    z = s.invert_unit()
     assert z.trunc == trunc and s * z == Series.const(1, trunc, 1)
     b = Series(2, trunc, {(i, j): i + 2 * j + 1 for i in range(trunc + 1)
                           for j in range(trunc + 1 - i)})
-    assert b * b.invert_unit(1) == Series.const(2, trunc, 1)
+    assert b * b.invert_unit() == Series.const(2, trunc, 1)
 
 
 def test_series_compose():
@@ -97,7 +97,7 @@ def test_series_integrate():
 
 def test_series_evaluate_univar():
     # [DERIVED] 1 + 2T + 3T^2 at T = 4 is 57
-    s = Series.const(1, 3, 1) + Series.variable(1, 3, 0, 2) + (
+    s = Series.const(1, 3, 1) + Series.variable(1, 3, 0).scale(2) + (
         Series.variable(1, 3, 0) ** 2
     ).scale(3)
     assert s.evaluate_univar(4, 1) == 57
